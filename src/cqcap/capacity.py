@@ -3,8 +3,8 @@
 The expected cost of the fixed-multiplier optimizer is non-increasing in the
 multiplier, so the budget-matching multiplier is found by doubling then
 bisecting. The reported capacity composes the inner value with the budget
-term; its certificate pairs an explicitly feasible achievable value with a
-weak-duality upper bound.
+term; its certificate pairs an explicitly feasible achievable value with the
+smallest weak-duality upper bound over every multiplier solved.
 """
 
 from __future__ import annotations
@@ -60,39 +60,21 @@ def _warm_start(probs: np.ndarray) -> np.ndarray:
     return (1.0 - WARM_START_MIX) * probs + WARM_START_MIX / n
 
 
-def _assert_cost_monotone(evaluations, epsilon: float) -> None:
-    ordered = sorted(evaluations)
-    slack = 2.0 * epsilon
-    for (_, hi_cost), (_, lo_cost) in zip(ordered, ordered[1:]):
-        assert lo_cost <= hi_cost + slack, (
-            f"expected cost increased along the multiplier grid: {ordered}"
-        )
-
-
 def unconstrained_capacity(ch: CqChannel, epsilon: float = 1e-6,
                            max_iter: int = 1_000_000) -> CapacityResult:
     """Capacity without a cost budget (multiplier fixed at zero)."""
     config = SolverConfig(multiplier=0.0, epsilon=epsilon, max_iter=max_iter)
     res, trace = solve_fixed_lambda(ch, config)
-    capacity = min(max(res.value_bits, res.lower_bits), res.upper_bits)
-    return CapacityResult(
-        capacity_bits=capacity,
-        probs=res.probs,
-        multiplier=0.0,
-        expected_cost=res.expected_cost,
-        constraint_active=False,
-        gap_certificate_bits=(res.lower_bits, res.upper_bits),
-        outer_iterations=0,
-        termination=res.termination,
-        evaluations=((0.0, res.expected_cost),),
-        trace=trace,
-    )
+    # every distribution meets a budget at the costliest letter
+    return _capacity_result(ch, res, trace, 0.0, float(ch.costs.max()),
+                            [(0.0, res.expected_cost)], [res.upper_bits])
 
 
 def _feasible_value(ch: CqChannel, res: FixedLambdaResult, cost_limit: float) -> float:
     """Holevo value of a distribution made exactly feasible; a true lower bound."""
     probs = res.probs.probs
-    cost = float(ch.costs @ probs)
+    # no distribution costs more than the costliest letter; clip rounding above it
+    cost = min(float(ch.costs @ probs), float(ch.costs.max()))
     if cost <= cost_limit:
         return holevo_quantity(ch, probs)
     cheapest = int(np.argmin(ch.costs))
@@ -103,20 +85,17 @@ def _feasible_value(ch: CqChannel, res: FixedLambdaResult, cost_limit: float) ->
     return holevo_quantity(ch, mixed / mixed.sum())
 
 
-def _constrained_result(ch, res, trace, multiplier, cost_limit, evaluations,
-                        extra_upper=None) -> CapacityResult:
-    dual_value = res.value_bits + multiplier * cost_limit
-    upper = res.upper_bits + multiplier * cost_limit
-    if extra_upper is not None:
-        upper = min(upper, extra_upper)
+def _capacity_result(ch, res, trace, multiplier, cost_limit, evaluations,
+                     bounds) -> CapacityResult:
+    """Certify ``res``: its feasible value below, the smallest dual bound of every solve above."""
     lower = _feasible_value(ch, res, cost_limit)
-    capacity = min(max(dual_value, lower), upper)
+    upper = min(bounds)
     return CapacityResult(
-        capacity_bits=capacity,
+        capacity_bits=min(max(res.value_bits + multiplier * cost_limit, lower), upper),
         probs=res.probs,
         multiplier=multiplier,
         expected_cost=res.expected_cost,
-        constraint_active=True,
+        constraint_active=multiplier > 0.0,
         gap_certificate_bits=(lower, upper),
         outer_iterations=len(evaluations) - 1,
         termination=res.termination,
@@ -136,56 +115,45 @@ def constrained_capacity(ch: CqChannel, cost_limit: float, epsilon: float = 1e-6
     ``epsilon / 2`` and warm-start from the previous multiplier's optimizer.
     If the multiplier interval collapses before the cost matches (the
     optimizer cost jumps across the budget), the feasible endpoint is
-    returned with a certificate widened to cover both endpoints.
+    returned. Every exit certifies the same way: the feasible value of the
+    returned distribution from below, and the smallest weak-duality bound
+    over all solved multipliers from above.
     """
     min_cost = float(ch.costs.min())
     if cost_limit < min_cost:
         raise InfeasibleCost(
             f"budget {cost_limit!r} below the cheapest letter cost {min_cost!r}"
         )
+    # a budget above the costliest letter binds nothing; capping it keeps it finite
+    cost_limit = min(cost_limit, float(ch.costs.max()))
     cost_tol = _cost_tolerance(epsilon)
     inner_eps = epsilon / 2.0
+    evaluations, bounds = [], []
 
     def solve(multiplier, start=None):
         config = SolverConfig(multiplier=multiplier, epsilon=inner_eps,
                               max_iter=max_iter)
-        return solve_fixed_lambda(ch, config, initial=start)
+        res, trace = solve_fixed_lambda(ch, config, initial=start)
+        evaluations.append((multiplier, res.expected_cost))
+        bounds.append(res.upper_bits + multiplier * cost_limit)
+        return res, trace
 
     res0, trace0 = solve(0.0)
-    evaluations = [(0.0, res0.expected_cost)]
     if res0.expected_cost <= cost_limit + cost_tol:
-        capacity = min(max(res0.value_bits, res0.lower_bits), res0.upper_bits)
-        return CapacityResult(
-            capacity_bits=capacity,
-            probs=res0.probs,
-            multiplier=0.0,
-            expected_cost=res0.expected_cost,
-            constraint_active=False,
-            gap_certificate_bits=(res0.lower_bits, res0.upper_bits),
-            outer_iterations=0,
-            termination=res0.termination,
-            evaluations=tuple(evaluations),
-            trace=trace0,
-        )
-
-    def finish(res, trace, multiplier, extra_upper=None):
-        _assert_cost_monotone(evaluations, epsilon)
-        return _constrained_result(ch, res, trace, multiplier, cost_limit,
-                                   evaluations, extra_upper)
+        return _capacity_result(ch, res0, trace0, 0.0, cost_limit, evaluations, bounds)
 
     # bracket: double the multiplier until the optimizer fits the budget
-    lam_lo, res_lo = 0.0, res0
-    lam_hi = 1.0
+    lam_lo, lam_hi = 0.0, 1.0
     warm = res0.probs.probs
     while True:
         res_hi, trace_hi = solve(lam_hi, _warm_start(warm))
-        evaluations.append((lam_hi, res_hi.expected_cost))
         warm = res_hi.probs.probs
         if abs(res_hi.expected_cost - cost_limit) <= cost_tol:
-            return finish(res_hi, trace_hi, lam_hi)
+            return _capacity_result(ch, res_hi, trace_hi, lam_hi, cost_limit,
+                                    evaluations, bounds)
         if res_hi.expected_cost < cost_limit:
             break
-        lam_lo, res_lo = lam_hi, res_hi
+        lam_lo = lam_hi
         lam_hi *= 2.0
         if lam_hi > LAMBDA_MAX:
             raise BracketFailure(
@@ -196,37 +164,15 @@ def constrained_capacity(ch: CqChannel, cost_limit: float, epsilon: float = 1e-6
     while lam_hi - lam_lo > LAMBDA_TOL_REL * max(1.0, lam_hi):
         mid = 0.5 * (lam_lo + lam_hi)
         res_mid, trace_mid = solve(mid, _warm_start(warm))
-        evaluations.append((mid, res_mid.expected_cost))
         warm = res_mid.probs.probs
         if abs(res_mid.expected_cost - cost_limit) <= cost_tol:
-            return finish(res_mid, trace_mid, mid)
+            return _capacity_result(ch, res_mid, trace_mid, mid, cost_limit,
+                                    evaluations, bounds)
         if res_mid.expected_cost > cost_limit:
-            lam_lo, res_lo = mid, res_mid
+            lam_lo = mid
         else:
             lam_hi, res_hi, trace_hi = mid, res_mid, trace_mid
 
     # interval collapsed without matching the budget: the optimizer cost jumps
-    # across it (non-unique inner maximizer); report the feasible endpoint with
-    # a certificate covering both endpoint values
-    widened_upper = max(
-        res_lo.upper_bits + lam_lo * cost_limit,
-        res_hi.upper_bits + lam_hi * cost_limit,
-    )
-    result = finish(res_hi, trace_hi, lam_hi, extra_upper=None)
-    lower = min(
-        result.gap_certificate_bits[0],
-        res_lo.value_bits + lam_lo * cost_limit,
-        res_hi.value_bits + lam_hi * cost_limit,
-    )
-    return CapacityResult(
-        capacity_bits=min(max(result.capacity_bits, lower), widened_upper),
-        probs=result.probs,
-        multiplier=result.multiplier,
-        expected_cost=result.expected_cost,
-        constraint_active=True,
-        gap_certificate_bits=(lower, widened_upper),
-        outer_iterations=result.outer_iterations,
-        termination=result.termination,
-        evaluations=result.evaluations,
-        trace=result.trace,
-    )
+    # across it (non-unique inner maximizer); report the feasible endpoint
+    return _capacity_result(ch, res_hi, trace_hi, lam_hi, cost_limit, evaluations, bounds)

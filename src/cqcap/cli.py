@@ -1,8 +1,8 @@
 """Command-line front end: ``capacity``, ``validate``, and ``gen`` subcommands.
 
 Reports go to stdout as JSON with floats at 17 significant digits; errors go
-to stderr as a one-line JSON object. Exit codes: 0 success, 2 file/parse
-errors, 3 solver errors, 4 oracle disagreement.
+to stderr as a one-line JSON object. Exit codes: 0 success, 2 file/parse/
+parameter errors, 3 solver errors, 4 oracle disagreement.
 """
 
 from __future__ import annotations
@@ -28,13 +28,11 @@ from .channel import (
 from .errors import (
     BadParams,
     BadTrace,
-    BracketFailure,
+    CqcapError,
     DimensionMismatch,
-    InfeasibleCost,
     LengthMismatch,
     NotHermitian,
     NotPSD,
-    NumericalBreakdown,
 )
 from .oracle import DEFAULT_GRID_RESOLUTION, GridSpec, grid_capacity
 from .solver import IterationTrace
@@ -54,7 +52,6 @@ PARSE_ERRORS = (
     NotHermitian,
     NotPSD,
 )
-SOLVER_ERRORS = (InfeasibleCost, BracketFailure, NumericalBreakdown)
 
 
 def _format_float(x: float) -> str:
@@ -121,8 +118,18 @@ def _result_payload(result: CapacityResult) -> dict:
     }
 
 
+def _check_capacity_args(args) -> None:
+    if not args.eps > 0:
+        raise BadParams(f"--eps must be positive, got {args.eps!r}")
+    if args.max_iter < 1:
+        raise BadParams(f"--max-iter must be at least 1, got {args.max_iter!r}")
+    if args.cost_limit is not None and math.isnan(args.cost_limit):
+        raise BadParams("--cost-limit must be a number or inf, got nan")
+
+
 def cmd_capacity(args) -> int:
     try:
+        _check_capacity_args(args)
         channel, digest = _load(args.channel)
     except PARSE_ERRORS as exc:
         _emit_error(exc)
@@ -134,7 +141,7 @@ def cmd_capacity(args) -> int:
         else:
             result = constrained_capacity(channel, args.cost_limit,
                                           epsilon=args.eps, max_iter=args.max_iter)
-    except SOLVER_ERRORS as exc:
+    except CqcapError as exc:
         _emit_error(exc)
         return EXIT_SOLVER
     elapsed = time.perf_counter() - started

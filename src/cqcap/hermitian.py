@@ -25,7 +25,6 @@ class Tolerances:
     trace: float = 1e-9            # |Tr - 1|
     eigenvalue_rel: float = 1e-12  # support cutoff, relative to the largest eigenvalue
     support: float = 1e-10         # mass tolerated outside another state's support
-    reconstruction: float = 1e-9   # round-trip error budget for spectral rebuilds
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -129,7 +128,12 @@ def validate_density(raw, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Densit
     trace = float(herm.trace().real)
     if abs(trace - 1.0) > tolerances.trace:
         raise BadTrace(f"trace {trace!r} deviates from 1 beyond tolerance")
+    return _spectral_density(herm, tolerances)
 
+
+def _spectral_density(herm: np.ndarray, tolerances: Tolerances = DEFAULT_TOLERANCES
+                      ) -> DensityMatrix:
+    """Spectral half of :func:`validate_density`; the caller vouches for Hermitian, unit trace."""
     w, v = np.linalg.eigh(herm)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()

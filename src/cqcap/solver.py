@@ -19,13 +19,13 @@ import numpy as np
 from .channel import (
     CqChannel,
     InputDistribution,
+    _holevo_bits,
     as_probability_vector,
-    holevo_quantity,
     kl_divergence_bits,
     output_state,
 )
 from .errors import EmptyTrace, NumericalBreakdown, SupportViolation
-from .hermitian import LN2, DensityMatrix, kernel_projector, log_on_support
+from .hermitian import LN2, DensityMatrix, _spectral_density, kernel_projector, log_on_support
 
 STALL_TOL_BITS = 1e-14
 STALL_WINDOW = 50
@@ -78,17 +78,20 @@ class IterationTrace:
 
     steps: list = field(default_factory=list)
     objective_bits: list = field(default_factory=list)
-    lower_bits: list = field(default_factory=list)
     upper_bits: list = field(default_factory=list)
     expected_cost: list = field(default_factory=list)
     l1_step: list = field(default_factory=list)
     iterates: list = field(default_factory=list)
     divergence_to_final_bits: list | None = None
 
-    def record(self, step, objective, lower, upper, cost, l1, iterate):
+    @property
+    def lower_bits(self) -> list:
+        """Certified lower bounds; each step value is one, so this aliases ``objective_bits``."""
+        return self.objective_bits
+
+    def record(self, step, objective, upper, cost, l1, iterate):
         self.steps.append(step)
         self.objective_bits.append(objective)
-        self.lower_bits.append(lower)
         self.upper_bits.append(upper)
         self.expected_cost.append(cost)
         self.l1_step.append(l1)
@@ -128,8 +131,13 @@ def _letter_divergences_nats(ch: CqChannel, mixture: DensityMatrix) -> np.ndarra
 
 def make_iteration_state(ch: CqChannel, p, step: int = 0) -> IterationState:
     """Bundle a distribution with its mixture and per-letter divergences."""
-    w = as_probability_vector(p, ch.size)
-    mixture = output_state(ch, w)
+    return _iteration_state(ch, as_probability_vector(p, ch.size), step)
+
+
+def _iteration_state(ch: CqChannel, w: np.ndarray, step: int = 0) -> IterationState:
+    # w is a simplex vector the caller vouches for, so the mixture of validated
+    # states is Hermitian with unit trace and needs only its spectrum
+    mixture = _spectral_density(np.einsum("x,xij->ij", w, ch.state_stack))
     return IterationState(step, w, mixture, _letter_divergences_nats(ch, mixture))
 
 
@@ -172,8 +180,7 @@ def ba_step(ch: CqChannel, multiplier: float, state: IterationState):
         )
     top = float(log_weights.max())
     log_norm = top + math.log(float(np.exp(log_weights - top).sum()))
-    new_probs = np.exp(log_weights - log_norm)
-    new_state = make_iteration_state(ch, new_probs, state.step + 1)
+    new_state = _iteration_state(ch, np.exp(log_weights - log_norm), state.step + 1)
     return new_state, log_norm / LN2
 
 
@@ -202,7 +209,7 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         start = as_probability_vector(initial, ch.size)
         if float(start.min()) <= 0.0:
             raise ValueError("initial distribution must be strictly positive")
-    state = make_iteration_state(ch, start)
+    state = _iteration_state(ch, start)
     trace = IterationTrace()
     reason = TerminationReason.MAX_ITER
     iterations = 0
@@ -217,7 +224,6 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         l1 = float(np.abs(new_state.probs - state.probs).sum())
         last_row = (
             state.step,
-            value_bits,
             value_bits,
             bound_bits,
             float(ch.costs @ state.probs),
@@ -245,7 +251,7 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
 
     final = state.probs
     expected_cost = float(ch.costs @ final)
-    value = holevo_quantity(ch, final) - config.multiplier * expected_cost
+    value = _holevo_bits(ch, final, state.mixture) - config.multiplier * expected_cost
     result = FixedLambdaResult(
         probs=InputDistribution(final),
         value_bits=value,

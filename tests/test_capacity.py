@@ -131,3 +131,34 @@ class TestConstrainedCapacity:
         assert result.expected_cost <= 0.3 + 1e-3
         assert abs(result.capacity_bits) < 1e-2
         assert lower - 1e-12 <= result.capacity_bits <= upper + 1e-12
+
+
+class TestCertificateRule:
+    """Budgeted upper bounds are the smallest dual bound, so lambda = 0 caps them."""
+
+    EPSILON = 1e-3
+
+    def check(self, ch, budget, max_iter=1_000_000):
+        result = constrained_capacity(ch, budget, epsilon=self.EPSILON, max_iter=max_iter)
+        free = unconstrained_capacity(ch, self.EPSILON, max_iter=max_iter)
+        lower, upper = result.gap_certificate_bits
+        assert upper <= free.gap_certificate_bits[1] + self.EPSILON
+        assert lower - 1e-12 <= result.capacity_bits <= upper + 1e-12
+        return result
+
+    def test_jumping_cost_upper_capped_by_unconstrained(self):
+        rho = np.eye(2) / 2
+        result = self.check(CqChannel([rho, rho], costs=[0.0, 1.0]), 0.3, max_iter=5000)
+        assert result.constraint_active
+
+    def test_uniform_costs_keep_a_tight_lower_bound(self):
+        # the expected cost of a uniform-cost channel can round above that cost
+        ch = CqChannel(random_channel(3, 2, 36, "mixed").states, costs=[0.1] * 3)
+        for result in (unconstrained_capacity(ch), constrained_capacity(ch, 0.1)):
+            lower, upper = result.gap_certificate_bits
+            assert upper - lower <= 1e-6
+
+    def test_active_budget_upper_capped_by_unconstrained(self):
+        ch = CqChannel(random_channel(3, 2, 31, "mixed").states, costs=[0.0, 1.0, 0.3])
+        result = self.check(ch, 0.1)
+        assert result.constraint_active

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -118,6 +119,36 @@ class TestCapacityCommand:
         )
         assert code == 3
         assert json.loads(err)["error"] == "InfeasibleCost"
+
+    @pytest.mark.parametrize("flags", [["--eps", "0"], ["--eps", "-1"],
+                                       ["--max-iter", "0"], ["--cost-limit", "nan"]])
+    def test_bad_parameters_exit_2(self, capsys, budget_file, flags):
+        code, out, err = run_cli(capsys, ["capacity", "--channel", budget_file] + flags)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "BadParams"
+
+    def test_infinite_budget_is_inactive(self, capsys, budget_file):
+        code, out, _ = run_cli(
+            capsys, ["capacity", "--channel", budget_file, "--cost-limit", "inf"]
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["constraint_active"] is False
+        assert result["capacity_bits"] == pytest.approx(1.0, abs=1e-6)
+        assert all(math.isfinite(b) for b in result["gap_certificate_bits"])
+
+    def test_any_package_error_exit_3(self, capsys, monkeypatch, orth_file):
+        from cqcap import cli
+        from cqcap.errors import SupportViolation
+
+        def fail(*args, **kwargs):
+            raise SupportViolation("mass outside the reference support")
+
+        monkeypatch.setattr(cli, "unconstrained_capacity", fail)
+        code, _, err = run_cli(capsys, ["capacity", "--channel", orth_file])
+        assert code == 3
+        assert json.loads(err)["error"] == "SupportViolation"
 
     def test_trace_csv_well_formed(self, capsys, tmp_path):
         path = tmp_path / "nonorth.json"

@@ -11,8 +11,10 @@ from cqcap import (
     holevo_quantity,
     kl_divergence_bits,
     make_iteration_state,
+    output_state,
     random_channel,
     rate_diagnostics,
+    relative_entropy_nats,
     solve_fixed_lambda,
     surrogate_objective,
     upper_bound,
@@ -221,6 +223,46 @@ class TestSolveFixedLambda:
         base, _ = solve_fixed_lambda(ch, SolverConfig(multiplier=0.0))
         penalized, _ = solve_fixed_lambda(ch, SolverConfig(multiplier=3.7))
         assert base.value_bits == pytest.approx(penalized.value_bits, abs=2e-6)
+
+
+class TestOneDivergencePath:
+    """The solver's own states agree with the validated public functions."""
+
+    @staticmethod
+    def cases():
+        rank_deficient = CqChannel([np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.3, 0.7]),
+                                    np.diag([1.0, 0.0, 0.0])])
+        yield random_channel(3, 3, 5, "pure"), [0.2, 0.3, 0.5]
+        yield random_channel(3, 2, 6, "mixed"), [0.6, 0.3, 0.1]
+        yield random_channel(4, 3, 7, "diagonal"), [0.1, 0.2, 0.3, 0.4]
+        yield rank_deficient, [0.3, 0.3, 0.4]
+        yield rank_deficient, [0.5, 0.0, 0.5]
+        yield orthogonal_channel(2), [1.0, 0.0]
+
+    def test_divergences_match_public_relative_entropy(self):
+        for ch, p in self.cases():
+            state = make_iteration_state(ch, p)
+            mixture = output_state(ch, p)
+            for x in range(ch.size):
+                public = relative_entropy_nats(ch.states[x], mixture)
+                trusted = state.divergences_nats[x]
+                if math.isinf(public):
+                    assert math.isinf(trusted)
+                else:
+                    assert trusted == pytest.approx(public, abs=1e-12)
+
+    def test_leaking_letter_is_infinite(self):
+        state = make_iteration_state(orthogonal_channel(2), [1.0, 0.0])
+        assert state.divergences_nats[0] == pytest.approx(0.0, abs=1e-12)
+        assert state.divergences_nats[1] == math.inf
+
+    def test_value_matches_public_holevo(self):
+        for lam, costs in ((0.0, [0.0, 0.0, 0.0]), (0.6, [0.0, 1.0, 0.3])):
+            for kind in ("pure", "mixed", "diagonal"):
+                ch = CqChannel(random_channel(3, 3, 13, kind).states, costs)
+                res, _ = solve_fixed_lambda(ch, SolverConfig(multiplier=lam))
+                expected = holevo_quantity(ch, res.probs) - lam * res.expected_cost
+                assert res.value_bits == pytest.approx(expected, abs=1e-12)
 
 
 class TestRateDiagnostics:

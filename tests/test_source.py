@@ -1,0 +1,20 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+import cqcap
+
+SOURCE_DIR = Path(cqcap.__file__).resolve().parent
+
+
+def test_no_runtime_asserts_or_debug_switches():
+    # both vanish under ``python -O``; runtime invariants must raise typed errors
+    offenders = []
+    for path in sorted(SOURCE_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno}: assert")
+            elif isinstance(node, ast.Name) and node.id == "__debug__":
+                offenders.append(f"{path.name}:{node.lineno}: __debug__")
+    assert offenders == []
