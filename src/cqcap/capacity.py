@@ -1,22 +1,23 @@
-"""Capacity with an optional expected-cost budget, via bisection on the multiplier.
+"""Capacity with an optional expected-cost budget, on the chord of the capacity-cost curve.
 
-The expected cost of the fixed-multiplier optimizer is non-increasing in the
-multiplier, so the budget-matching multiplier is found by doubling then
-bisecting. The reported capacity composes the inner value with the budget
-term; its certificate pairs an explicitly feasible achievable value with the
-smallest weak-duality upper bound over every multiplier solved.
+The budgeted capacity C(S) is concave in S. A solve at a fixed multiplier
+lambda gives a point below the curve and the weak-duality line
+U(lambda) + lambda * S above it (Blahut's parametric method). The search
+mixes a solved point on each side of the budget to cost exactly S and solves
+next at their chord's slope, until the mixture's Holevo value and the
+smallest dual line meet within epsilon.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import CqChannel, InputDistribution, holevo_quantity
-from .errors import BracketFailure, InfeasibleCost
+from .errors import BadParams, InfeasibleCost
 from .solver import (
-    FixedLambdaResult,
     IterationTrace,
     SolverConfig,
     TerminationReason,
@@ -24,7 +25,7 @@ from .solver import (
 )
 
 LAMBDA_TOL_REL = 1e-12
-LAMBDA_MAX = 2.0**64
+MAX_CHORD_SOLVES = 64
 WARM_START_MIX = 1e-6
 
 
@@ -32,10 +33,15 @@ WARM_START_MIX = 1e-6
 class CapacityResult:
     """Capacity value with its optimizer, multiplier, and certificate.
 
-    ``evaluations`` lists every (multiplier, expected cost) pair the outer
-    loop solved, in evaluation order; ``outer_iterations`` counts the solves
-    beyond the initial unconstrained probe. ``trace`` is the final inner
-    solve's iteration trace.
+    ``capacity_bits`` is the certified lower bound, the Holevo value of the
+    budget-feasible ``probs``. ``multiplier`` is that of the smallest dual
+    bound, ``inf`` at a budget equal to the cheapest letter cost.
+    ``constraint_active`` is true when the multiplier-zero optimizer costs
+    more than the budget. ``evaluations`` lists every (multiplier, expected
+    cost) pair solved, in order, the cheapest-letter solve as ``(inf,
+    cheapest cost)``; ``outer_iterations`` counts the solves after the first.
+    ``trace`` is the last inner solve's, so at the cheapest budget it covers
+    only the cheapest letters.
     """
 
     capacity_bits: float
@@ -50,10 +56,6 @@ class CapacityResult:
     trace: IterationTrace
 
 
-def _cost_tolerance(epsilon: float) -> float:
-    return max(1e-8, epsilon)
-
-
 def _warm_start(probs: np.ndarray) -> np.ndarray:
     # restore strict positivity lost to underflow in a previous solve
     n = probs.size
@@ -65,40 +67,23 @@ def unconstrained_capacity(ch: CqChannel, epsilon: float = 1e-6,
     """Capacity without a cost budget (multiplier fixed at zero)."""
     config = SolverConfig(multiplier=0.0, epsilon=epsilon, max_iter=max_iter)
     res, trace = solve_fixed_lambda(ch, config)
-    # every distribution meets a budget at the costliest letter
-    return _capacity_result(ch, res, trace, 0.0, float(ch.costs.max()),
-                            [(0.0, res.expected_cost)], [res.upper_bits])
+    return _capacity_result(ch, res.probs.probs, res.upper_bits, 0.0, False,
+                            [(0.0, res.expected_cost)], res.termination, trace)
 
 
-def _feasible_value(ch: CqChannel, res: FixedLambdaResult, cost_limit: float) -> float:
-    """Holevo value of a distribution made exactly feasible; a true lower bound."""
-    probs = res.probs.probs
-    # no distribution costs more than the costliest letter; clip rounding above it
-    cost = min(float(ch.costs @ probs), float(ch.costs.max()))
-    if cost <= cost_limit:
-        return holevo_quantity(ch, probs)
-    cheapest = int(np.argmin(ch.costs))
-    cheapest_cost = float(ch.costs[cheapest])
-    share = (cost - cost_limit) / (cost - cheapest_cost)
-    mixed = (1.0 - share) * probs
-    mixed[cheapest] += share
-    return holevo_quantity(ch, mixed / mixed.sum())
-
-
-def _capacity_result(ch, res, trace, multiplier, cost_limit, evaluations,
-                     bounds) -> CapacityResult:
-    """Certify ``res``: its feasible value below, the smallest dual bound of every solve above."""
-    lower = _feasible_value(ch, res, cost_limit)
-    upper = min(bounds)
+def _capacity_result(ch, probs, upper, multiplier, active, evaluations, termination,
+                     trace) -> CapacityResult:
+    """Certify the feasible distribution ``probs``: its Holevo value below, ``upper`` above."""
+    lower = holevo_quantity(ch, probs)
     return CapacityResult(
-        capacity_bits=min(max(res.value_bits + multiplier * cost_limit, lower), upper),
-        probs=res.probs,
+        capacity_bits=lower,
+        probs=InputDistribution(probs),
         multiplier=multiplier,
-        expected_cost=res.expected_cost,
-        constraint_active=multiplier > 0.0,
+        expected_cost=float(ch.costs @ probs),
+        constraint_active=active,
         gap_certificate_bits=(lower, upper),
         outer_iterations=len(evaluations) - 1,
-        termination=res.termination,
+        termination=termination,
         evaluations=tuple(evaluations),
         trace=trace,
     )
@@ -108,71 +93,70 @@ def constrained_capacity(ch: CqChannel, cost_limit: float, epsilon: float = 1e-6
                          max_iter: int = 1_000_000) -> CapacityResult:
     """Capacity subject to expected cost <= cost_limit.
 
-    Solves at multiplier zero first; when that optimizer already fits the
-    budget the constraint is inactive. Otherwise the multiplier is doubled
-    until the cost drops below the budget, then bisected until the cost
-    matches the budget within ``max(1e-8, epsilon)``. Inner solves run at
-    ``epsilon / 2`` and warm-start from the previous multiplier's optimizer.
-    If the multiplier interval collapses before the cost matches (the
-    optimizer cost jumps across the budget), the feasible endpoint is
-    returned. Every exit certifies the same way: the feasible value of the
-    returned distribution from below, and the smallest weak-duality bound
-    over all solved multipliers from above.
+    The constraint is inactive when the multiplier-zero optimizer fits the
+    budget or the budget reaches the costliest letter. Otherwise the chord
+    search starts from the cheapest letters' own capacity and the
+    multiplier-zero optimizer, and ends when its certificate closes within
+    ``epsilon``, when the chord slope repeats a solved multiplier, or after
+    ``MAX_CHORD_SOLVES`` chord solves. Inner solves run at ``epsilon / 2``.
     """
-    min_cost = float(ch.costs.min())
+    if math.isnan(cost_limit):
+        raise BadParams("budget must be a number or inf, got nan")
+    min_cost, max_cost = float(ch.costs.min()), float(ch.costs.max())
     if cost_limit < min_cost:
         raise InfeasibleCost(
             f"budget {cost_limit!r} below the cheapest letter cost {min_cost!r}"
         )
     # a budget above the costliest letter binds nothing; capping it keeps it finite
-    cost_limit = min(cost_limit, float(ch.costs.max()))
-    cost_tol = _cost_tolerance(epsilon)
-    inner_eps = epsilon / 2.0
-    evaluations, bounds = [], []
+    cost_limit = min(cost_limit, max_cost)
+    evaluations, duals = [], []
 
     def solve(multiplier, start=None):
-        config = SolverConfig(multiplier=multiplier, epsilon=inner_eps,
+        config = SolverConfig(multiplier=multiplier, epsilon=epsilon / 2.0,
                               max_iter=max_iter)
         res, trace = solve_fixed_lambda(ch, config, initial=start)
         evaluations.append((multiplier, res.expected_cost))
-        bounds.append(res.upper_bits + multiplier * cost_limit)
-        return res, trace
+        duals.append((res.upper_bits + multiplier * cost_limit, multiplier))
+        # a fixed-multiplier optimizer's Holevo value, without another Holevo call
+        chi = res.value_bits + multiplier * res.expected_cost
+        return res, trace, (res.expected_cost, chi, res.probs.probs)
 
-    res0, trace0 = solve(0.0)
-    if res0.expected_cost <= cost_limit + cost_tol:
-        return _capacity_result(ch, res0, trace0, 0.0, cost_limit, evaluations, bounds)
+    res, trace, above = solve(0.0)
+    if res.expected_cost <= cost_limit or cost_limit >= max_cost:
+        return _capacity_result(ch, res.probs.probs, res.upper_bits, 0.0, False,
+                                evaluations, res.termination, trace)
 
-    # bracket: double the multiplier until the optimizer fits the budget
-    lam_lo, lam_hi = 0.0, 1.0
-    warm = res0.probs.probs
+    # only the cheapest letters fit a budget at their cost, so their own
+    # capacity is the left end of the curve
+    cheapest = np.flatnonzero(ch.costs == min_cost)
+    res, trace = solve_fixed_lambda(
+        CqChannel([ch.states[x] for x in cheapest], ch.costs[cheapest]),
+        SolverConfig(epsilon=epsilon / 2.0, max_iter=max_iter))
+    evaluations.append((math.inf, min_cost))
+    lifted = np.zeros(ch.size)
+    lifted[cheapest] = res.probs.probs
+    if cost_limit == min_cost:
+        return _capacity_result(ch, lifted, res.upper_bits, math.inf, True,
+                                evaluations, res.termination, trace)
+    below = (min_cost, res.value_bits, lifted)
+
     while True:
-        res_hi, trace_hi = solve(lam_hi, _warm_start(warm))
-        warm = res_hi.probs.probs
-        if abs(res_hi.expected_cost - cost_limit) <= cost_tol:
-            return _capacity_result(ch, res_hi, trace_hi, lam_hi, cost_limit,
-                                    evaluations, bounds)
-        if res_hi.expected_cost < cost_limit:
-            break
-        lam_lo = lam_hi
-        lam_hi *= 2.0
-        if lam_hi > LAMBDA_MAX:
-            raise BracketFailure(
-                f"expected cost stayed above {cost_limit!r} up to multiplier {LAMBDA_MAX}"
-            )
-
-    # bisect: cost(lam_lo) > budget > cost(lam_hi)
-    while lam_hi - lam_lo > LAMBDA_TOL_REL * max(1.0, lam_hi):
-        mid = 0.5 * (lam_lo + lam_hi)
-        res_mid, trace_mid = solve(mid, _warm_start(warm))
-        warm = res_mid.probs.probs
-        if abs(res_mid.expected_cost - cost_limit) <= cost_tol:
-            return _capacity_result(ch, res_mid, trace_mid, mid, cost_limit,
-                                    evaluations, bounds)
-        if res_mid.expected_cost > cost_limit:
-            lam_lo = mid
+        (cost_lo, chi_lo, p_lo), (cost_hi, chi_hi, p_hi) = below, above
+        share = (cost_limit - cost_lo) / (cost_hi - cost_lo)
+        mix = (1.0 - share) * p_lo + share * p_hi
+        # concavity puts the mixture's Holevo value on or above the chord
+        lower = holevo_quantity(ch, mix)
+        upper, multiplier = min(duals)
+        slope = max(0.0, (chi_hi - chi_lo) / (cost_hi - cost_lo))
+        if (upper - lower <= epsilon or len(evaluations) - 2 >= MAX_CHORD_SOLVES
+                or any(abs(slope - lam) <= LAMBDA_TOL_REL * max(1.0, slope)
+                       for _, lam in duals)):
+            return _capacity_result(ch, mix, upper, multiplier, True, evaluations,
+                                    res.termination, trace)
+        # the slope lies between the two points' multipliers, so its optimizer's
+        # cost lies between theirs; their even mixture has mass where either has
+        res, trace, point = solve(slope, _warm_start(0.5 * (p_lo + p_hi)))
+        if res.expected_cost <= cost_limit:
+            below = point
         else:
-            lam_hi, res_hi, trace_hi = mid, res_mid, trace_mid
-
-    # interval collapsed without matching the budget: the optimizer cost jumps
-    # across it (non-unique inner maximizer); report the feasible endpoint
-    return _capacity_result(ch, res_hi, trace_hi, lam_hi, cost_limit, evaluations, bounds)
+            above = point

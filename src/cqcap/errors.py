@@ -41,10 +41,6 @@ class InfeasibleCost(CqcapError):
     """Cost budget below the cheapest letter; no feasible distribution."""
 
 
-class BracketFailure(CqcapError):
-    """Expected cost never drops below the budget while raising the multiplier."""
-
-
 class AlphabetTooLarge(CqcapError):
     """Grid enumeration refused; alphabet too large for brute force."""
 

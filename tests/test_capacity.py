@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import cqcap.capacity
 from cqcap import (
     CqChannel,
+    GridSpec,
     constrained_capacity,
+    grid_capacity,
     holevo_quantity,
     random_channel,
     unconstrained_capacity,
 )
-from cqcap.errors import InfeasibleCost
+from cqcap.errors import BadParams, InfeasibleCost
+from cqcap.oracle import DEFAULT_GRID_RESOLUTION
 from helpers import (
     BUDGET_CAPACITY,
     NONORTH_PAIR_CAPACITY,
@@ -122,7 +126,7 @@ class TestConstrainedCapacity:
 
     def test_duplicated_states_with_jumping_cost(self):
         # set-valued optimizer: the cost jumps across the budget, so the
-        # bisection interval collapses and the feasible endpoint is returned
+        # result mixes the cheapest letter with the multiplier-zero optimizer
         rho = np.eye(2) / 2
         ch = CqChannel([rho, rho], costs=[0.0, 1.0])
         result = constrained_capacity(ch, 0.3, epsilon=1e-3, max_iter=5000)
@@ -162,3 +166,76 @@ class TestCertificateRule:
         ch = CqChannel(random_channel(3, 2, 31, "mixed").states, costs=[0.0, 1.0, 0.3])
         result = self.check(ch, 0.1)
         assert result.constraint_active
+
+
+class TestChordSearch:
+    """The budgeted search closes its certificate at a budget-feasible mixture."""
+
+    def test_nan_budget_rejected_before_any_solve(self, monkeypatch):
+        calls = []
+        solve = cqcap.capacity.solve_fixed_lambda
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cqcap.capacity, "solve_fixed_lambda", counted)
+        with pytest.raises(BadParams):
+            constrained_capacity(orthogonal_channel(2, costs=[0.0, 1.0]), math.nan)
+        assert calls == []
+
+    def test_cheapest_budget_with_tied_cheapest_letters(self):
+        # only the two zero-cost letters fit, and together they carry one bit
+        ch = orthogonal_channel(3, costs=[0.0, 0.0, 1.0])
+        eps = 1e-6
+        result = constrained_capacity(ch, 0.0, epsilon=eps)
+        lower, upper = result.gap_certificate_bits
+        assert upper - lower <= eps
+        assert result.capacity_bits == pytest.approx(1.0, abs=eps)
+        assert lower >= 1.0 - eps
+        assert result.expected_cost == 0.0
+        assert result.multiplier == math.inf
+
+    def test_budget_just_above_tied_cheapest_letters(self):
+        ch = orthogonal_channel(3, costs=[0.0, 0.0, 1.0])
+        eps, budget = 1e-6, 1e-9
+        # the third letter takes the whole budget; the other two share the rest
+        exact = binary_entropy_bits(budget) + 1.0 - budget
+        result = constrained_capacity(ch, budget, epsilon=eps)
+        lower, upper = result.gap_certificate_bits
+        assert lower - 1e-12 <= exact <= upper + 1e-12
+        assert upper - lower <= eps
+        assert result.expected_cost <= budget + 1e-12
+
+    @pytest.mark.parametrize("seed, n, fraction", [(1, 3, 0.1), (5, 4, 0.3)])
+    def test_certificate_closes_within_budget(self, seed, n, fraction):
+        ch = CqChannel(random_channel(n, 2, seed, "mixed").states,
+                       np.random.default_rng([seed, 1]).random(n))
+        lo, hi = float(ch.costs.min()), float(ch.costs.max())
+        budget = lo + fraction * (hi - lo)
+        result = constrained_capacity(ch, budget, epsilon=1e-4)
+        lower, upper = result.gap_certificate_bits
+        assert result.constraint_active
+        assert upper - lower <= 1e-4
+        assert result.expected_cost <= budget + 1e-12
+
+    def test_set_valued_optimizer_needs_no_chord_solve(self):
+        rho = np.eye(2) / 2
+        ch = CqChannel([rho, rho], costs=[0.0, 1.0])
+        result = constrained_capacity(ch, 0.3, epsilon=1e-3, max_iter=5000)
+        assert len(result.evaluations) <= 3
+        assert result.expected_cost == pytest.approx(0.3, abs=1e-12)
+
+    def test_grid_oracle_inside_certificate(self):
+        rng = np.random.default_rng(44)
+        for i in range(8):
+            n = 2 + i % 2
+            ch = CqChannel(random_channel(n, 2, 900 + i, "mixed").states, rng.random(n))
+            lo, hi = float(ch.costs.min()), float(ch.costs.max())
+            for fraction in (0.2, 0.5, 0.8):
+                budget = lo + fraction * (hi - lo)
+                result = constrained_capacity(ch, budget, epsilon=1e-5)
+                lower, upper = result.gap_certificate_bits
+                grid = grid_capacity(ch, GridSpec(DEFAULT_GRID_RESOLUTION[n]),
+                                     cost_limit=budget)
+                assert lower - grid.slack_bits <= grid.value_bits <= upper + grid.slack_bits

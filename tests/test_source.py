@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import cqcap
+from cqcap import errors
 
 SOURCE_DIR = Path(cqcap.__file__).resolve().parent
 
@@ -18,3 +19,21 @@ def test_no_runtime_asserts_or_debug_switches():
             elif isinstance(node, ast.Name) and node.id == "__debug__":
                 offenders.append(f"{path.name}:{node.lineno}: __debug__")
     assert offenders == []
+
+
+def test_every_error_type_is_raised():
+    raised = set()
+    for path in sorted(SOURCE_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(target, ast.Name):
+                    raised.add(target.id)
+                elif isinstance(target, ast.Attribute):
+                    raised.add(target.attr)
+    defined = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.CqcapError)
+        and obj is not errors.CqcapError
+    }
+    assert sorted(defined - raised) == []
