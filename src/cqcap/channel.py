@@ -166,12 +166,12 @@ def output_state(ch: CqChannel, p) -> DensityMatrix:
 def holevo_quantity(ch: CqChannel, p) -> float:
     """H(mixture) - sum_x p_x H(rho_x), in bits; always nonnegative."""
     w = as_probability_vector(p, ch.size)
-    return _holevo_bits(ch, w, output_state(ch, w))
+    return _holevo_bits(ch, w, output_state(ch, w).entropy_nats)
 
 
-def _holevo_bits(ch: CqChannel, w: np.ndarray, mixture: DensityMatrix) -> float:
-    # mixture must be sum_x w_x rho_x
-    return max(0.0, (mixture.entropy_nats - float(w @ ch.letter_entropies_nats)) / LN2)
+def _holevo_bits(ch: CqChannel, w: np.ndarray, mixture_entropy_nats: float) -> float:
+    # the entropy must be that of the mixture sum_x w_x rho_x
+    return max(0.0, (mixture_entropy_nats - float(w @ ch.letter_entropies_nats)) / LN2)
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,6 @@ class SupportViolation(CqcapError):
     """A distribution puts mass where its reference has none."""
 
 
-class NumericalBreakdown(CqcapError):
-    """Non-finite iteration weights; usually a support violation upstream."""
-
-
 class InfeasibleCost(CqcapError):
     """Cost budget below the cheapest letter; no feasible distribution."""
 

@@ -81,8 +81,7 @@ class DensityMatrix:
     @cached_property
     def entropy_nats(self) -> float:
         """Spectral entropy -sum(w log w) over the support, natural log."""
-        support = self._spectrum.eigenvalues[: self.rank]
-        return max(0.0, float(-(support * np.log(support)).sum()))
+        return _entropy_nats(self._spectrum.eigenvalues)
 
     @cached_property
     def _log_support(self) -> np.ndarray:
@@ -128,12 +127,6 @@ def validate_density(raw, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Densit
     trace = float(herm.trace().real)
     if abs(trace - 1.0) > tolerances.trace:
         raise BadTrace(f"trace {trace!r} deviates from 1 beyond tolerance")
-    return _spectral_density(herm, tolerances)
-
-
-def _spectral_density(herm: np.ndarray, tolerances: Tolerances = DEFAULT_TOLERANCES
-                      ) -> DensityMatrix:
-    """Spectral half of :func:`validate_density`; the caller vouches for Hermitian, unit trace."""
     w, v = np.linalg.eigh(herm)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
@@ -152,6 +145,12 @@ def _spectral_density(herm: np.ndarray, tolerances: Tolerances = DEFAULT_TOLERAN
     for arr in (herm, clamped, v):
         arr.setflags(write=False)
     return DensityMatrix(herm, Spectrum(clamped, v, rank), cutoff, tolerances)
+
+
+def _entropy_nats(eigenvalues: np.ndarray) -> float:
+    """-sum(w log w) over the positive eigenvalues, natural log."""
+    w = eigenvalues[eigenvalues > 0.0]
+    return max(0.0, float(-(w * np.log(w)).sum()))
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> complex:

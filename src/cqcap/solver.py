@@ -6,6 +6,14 @@ certified bound pair: the step value lower-bounds the optimum, the largest
 penalized per-letter divergence upper-bounds it, and their gap is the
 stopping criterion. All iteration arithmetic stays in the log domain
 (natural log); bits appear only at the API boundary.
+
+The divergences are taken against the mixture with its eigenvalues raised
+to the relative cutoff, an operator tau' >= sigma_p of trace 1 + delta.
+Since log is operator monotone, each is at most D(rho_x || sigma_p), so the
+step value stays a lower bound. tau' / (1 + delta) is a state, and by the
+min-max formula any state's max_x D(rho_x || tau) - penalty_x bounds the
+optimum from above; that is the largest divergence plus log(1 + delta).
+Every bound is finite, at any distribution, zero-mass letters included.
 """
 
 from __future__ import annotations
@@ -24,8 +32,8 @@ from .channel import (
     kl_divergence_bits,
     output_state,
 )
-from .errors import EmptyTrace, NumericalBreakdown, SupportViolation
-from .hermitian import LN2, DensityMatrix, _spectral_density, kernel_projector, log_on_support
+from .errors import EmptyTrace, SupportViolation
+from .hermitian import DEFAULT_TOLERANCES, LN2, _entropy_nats, log_on_support
 
 STALL_TOL_BITS = 1e-14
 STALL_WINDOW = 50
@@ -64,12 +72,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationState:
-    """One iterate: distribution, its output mixture, and cached divergences."""
+    """One iterate: distribution, its mixture's spectrum, and cached divergences.
+
+    ``divergences_nats`` are taken against the mixture with its eigenvalues
+    raised to the cutoff; ``excess_nats`` is log(1 + the trace the raising added).
+    """
 
     step: int
     probs: np.ndarray
-    mixture: DensityMatrix
-    divergences_nats: np.ndarray  # per-letter divergence from the mixture; +inf outside its support
+    eigenvalues: np.ndarray  # of the mixture, ascending, before raising
+    divergences_nats: np.ndarray
+    excess_nats: float
 
 
 @dataclass
@@ -118,27 +131,20 @@ class FixedLambdaResult:
     termination: TerminationReason
 
 
-def _letter_divergences_nats(ch: CqChannel, mixture: DensityMatrix) -> np.ndarray:
-    log_mix = log_on_support(mixture)
-    cross = np.einsum("xij,ji->x", ch.state_stack, log_mix).real
-    div = np.maximum(-ch.letter_entropies_nats - cross, 0.0)
-    proj = kernel_projector(mixture)
-    if proj is not None:
-        leakage = np.einsum("xij,ji->x", ch.state_stack, proj).real
-        div = np.where(leakage > mixture.tolerances.support, np.inf, div)
-    return div
-
-
 def make_iteration_state(ch: CqChannel, p, step: int = 0) -> IterationState:
-    """Bundle a distribution with its mixture and per-letter divergences."""
+    """Bundle a distribution with its mixture's spectrum and per-letter divergences."""
     return _iteration_state(ch, as_probability_vector(p, ch.size), step)
 
 
 def _iteration_state(ch: CqChannel, w: np.ndarray, step: int = 0) -> IterationState:
     # w is a simplex vector the caller vouches for, so the mixture of validated
     # states is Hermitian with unit trace and needs only its spectrum
-    mixture = _spectral_density(np.einsum("x,xij->ij", w, ch.state_stack))
-    return IterationState(step, w, mixture, _letter_divergences_nats(ch, mixture))
+    evals, evecs = np.linalg.eigh(np.einsum("x,xij->ij", w, ch.state_stack))
+    raised = np.maximum(evals, DEFAULT_TOLERANCES.eigenvalue_rel * float(evals.max()))
+    log_tau = (evecs * np.log(raised)) @ evecs.conj().T
+    cross = np.einsum("xij,ji->x", ch.state_stack, log_tau).real
+    div = np.maximum(-ch.letter_entropies_nats - cross, 0.0)
+    return IterationState(step, w, evals, div, math.log1p(float((raised - evals).sum())))
 
 
 def surrogate_objective(ch: CqChannel, multiplier: float, p, p_prime) -> float:
@@ -165,8 +171,8 @@ def surrogate_objective(ch: CqChannel, multiplier: float, p, p_prime) -> float:
 def ba_step(ch: CqChannel, multiplier: float, state: IterationState):
     """One multiplicative update; returns the new state and the step value in bits.
 
-    Letters with zero mass stay at zero. A non-finite log weight on a
-    positive-mass letter raises :class:`NumericalBreakdown`.
+    Letters with zero mass stay at zero. The step value is a certified lower
+    bound on the penalized optimum at any distribution.
     """
     penalty_nats = multiplier * LN2 * ch.costs
     mask = state.probs > 0
@@ -174,10 +180,6 @@ def ba_step(ch: CqChannel, multiplier: float, state: IterationState):
     log_weights[mask] = (
         np.log(state.probs[mask]) + state.divergences_nats[mask] - penalty_nats[mask]
     )
-    if not np.all(np.isfinite(log_weights[mask])):
-        raise NumericalBreakdown(
-            "non-finite iteration weight; a positive-mass letter left the mixture support"
-        )
     top = float(log_weights.max())
     log_norm = top + math.log(float(np.exp(log_weights - top).sum()))
     new_state = _iteration_state(ch, np.exp(log_weights - log_norm), state.step + 1)
@@ -185,12 +187,13 @@ def ba_step(ch: CqChannel, multiplier: float, state: IterationState):
 
 
 def upper_bound(ch: CqChannel, multiplier: float, state: IterationState) -> float:
-    """Certified upper bound max_x (divergence_x - penalty_x), in bits.
+    """Certified upper bound max_x (divergence_x - penalty_x) + excess, in bits.
 
-    Valid at every iterate: the optimum of the penalized Holevo value never
-    exceeds it. Infinite when some letter lies outside the mixture support.
+    Valid and finite at every iterate: the optimum of the penalized Holevo
+    value never exceeds it.
     """
-    return float((state.divergences_nats - multiplier * LN2 * ch.costs).max()) / LN2
+    penalized = state.divergences_nats - multiplier * LN2 * ch.costs
+    return (float(penalized.max()) + state.excess_nats) / LN2
 
 
 def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
@@ -251,7 +254,8 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
 
     final = state.probs
     expected_cost = float(ch.costs @ final)
-    value = _holevo_bits(ch, final, state.mixture) - config.multiplier * expected_cost
+    value = (_holevo_bits(ch, final, _entropy_nats(state.eigenvalues))
+             - config.multiplier * expected_cost)
     result = FixedLambdaResult(
         probs=InputDistribution(final),
         value_bits=value,

@@ -239,3 +239,17 @@ class TestChordSearch:
                 grid = grid_capacity(ch, GridSpec(DEFAULT_GRID_RESOLUTION[n]),
                                      cost_limit=budget)
                 assert lower - grid.slack_bits <= grid.value_bits <= upper + grid.slack_bits
+
+
+class TestPureStateBudgets:
+    def test_tiny_letter_mass_keeps_certifying(self):
+        # a positive multiplier drives letters' mass to ~1e-52; their direction
+        # then falls under the mixture's eigenvalue cutoff on every later solve
+        base = random_channel(4, 3, 3029, "pure")
+        ch = CqChannel(list(base.states) + [base.states[0]],
+                       costs=[0.878, 0.523, 0.916, 0.047, 0.030])
+        budget = 0.030 + 0.0179
+        result = constrained_capacity(ch, budget, epsilon=1e-6)
+        lower, upper = result.gap_certificate_bits
+        assert upper - lower <= 1e-6
+        assert result.expected_cost <= budget + 1e-12

@@ -17,10 +17,13 @@ from cqcap import (
     relative_entropy_nats,
     solve_fixed_lambda,
     surrogate_objective,
+    trace_product,
+    unconstrained_capacity,
     upper_bound,
 )
-from cqcap.errors import EmptyTrace, NumericalBreakdown, SupportViolation
-from cqcap.oracle import GridSpec, grid_capacity
+from cqcap.errors import EmptyTrace, SupportViolation
+from cqcap.hermitian import kernel_projector
+from cqcap.oracle import DEFAULT_GRID_RESOLUTION, GridSpec, grid_capacity
 from helpers import (
     BSC_CAPACITY,
     NONORTH_PAIR_CAPACITY,
@@ -84,11 +87,13 @@ class TestBaStep:
         stepped, _ = ba_step(ch, 0.0, state)
         assert np.abs(stepped.probs - state.probs).max() < 1e-8
 
-    def test_breakdown_on_support_leak(self):
+    def test_support_leak_steps_finitely(self):
         ch = orthogonal_channel(2)
         state = make_iteration_state(ch, [1e-30, 1.0 - 1e-30])
-        with pytest.raises(NumericalBreakdown):
-            ba_step(ch, 0.0, state)
+        stepped, value = ba_step(ch, 0.0, state)
+        assert np.all(np.isfinite(stepped.probs))
+        assert stepped.probs[0] > state.probs[0]
+        assert value <= 1.0
 
     def test_zero_mass_letters_stay_frozen(self):
         ch = orthogonal_channel(2)
@@ -104,10 +109,15 @@ class TestUpperBound:
         state = make_iteration_state(ch, [0.5, 0.5])
         assert upper_bound(ch, 0.0, state) == pytest.approx(1.0, abs=1e-12)
 
-    def test_infinite_at_point_mass_of_orthogonal_channel(self):
+    def test_finite_at_point_mass_of_orthogonal_channel(self):
         ch = orthogonal_channel(2)
         state = make_iteration_state(ch, [1.0, 0.0])
-        assert upper_bound(ch, 0.0, state) == math.inf
+        bound = upper_bound(ch, 0.0, state)
+        cutoff = 1e-12
+        assert math.isfinite(bound)
+        assert bound >= 1.0
+        assert bound == pytest.approx((-math.log(cutoff) + math.log1p(cutoff)) / math.log(2),
+                                      abs=1e-12)
 
     def test_dominates_step_value_everywhere(self):
         rng = np.random.default_rng(23)
@@ -247,14 +257,16 @@ class TestOneDivergencePath:
                 public = relative_entropy_nats(ch.states[x], mixture)
                 trusted = state.divergences_nats[x]
                 if math.isinf(public):
-                    assert math.isinf(trusted)
+                    leakage = trace_product(ch.states[x].matrix, kernel_projector(mixture)).real
+                    assert math.isfinite(trusted)
+                    assert trusted >= -math.log(1e-12) * leakage - ch.letter_entropies_nats[x]
                 else:
                     assert trusted == pytest.approx(public, abs=1e-12)
 
-    def test_leaking_letter_is_infinite(self):
+    def test_leaking_letter_divergence_is_log_cutoff(self):
         state = make_iteration_state(orthogonal_channel(2), [1.0, 0.0])
         assert state.divergences_nats[0] == pytest.approx(0.0, abs=1e-12)
-        assert state.divergences_nats[1] == math.inf
+        assert state.divergences_nats[1] == pytest.approx(-math.log(1e-12), abs=1e-12)
 
     def test_value_matches_public_holevo(self):
         for lam, costs in ((0.0, [0.0, 0.0, 0.0]), (0.6, [0.0, 1.0, 0.3])):
@@ -263,6 +275,81 @@ class TestOneDivergencePath:
                 res, _ = solve_fixed_lambda(ch, SolverConfig(multiplier=lam))
                 expected = holevo_quantity(ch, res.probs) - lam * res.expected_cost
                 assert res.value_bits == pytest.approx(expected, abs=1e-12)
+
+
+def padded(ch: CqChannel) -> CqChannel:
+    """The same states embedded in one more dimension, so every one is rank-deficient."""
+    m = ch.dim
+    states = []
+    for rho in ch.states:
+        big = np.zeros((m + 1, m + 1), dtype=complex)
+        big[:m, :m] = rho.matrix
+        states.append(big)
+    return CqChannel(states)
+
+
+def coherent_ket(alpha: complex, dim: int) -> np.ndarray:
+    k = np.arange(dim)
+    log_mag = k * math.log(abs(alpha)) - 0.5 * np.array([math.lgamma(j + 1.0) for j in k])
+    ket = np.exp(log_mag - log_mag.max()) * np.exp(1j * k * np.angle(alpha))
+    return ket / np.linalg.norm(ket)
+
+
+def gram_form_bounds_bits(kets: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
+    """chi(p) and max_x D(psi_x || sigma_p) of pure states from their n x n Gram matrix.
+
+    The nonzero spectrum of sigma_p is that of sqrt(P) G sqrt(P) = Q diag(lam) Q^H,
+    with eigenvectors u_k = sum_x sqrt(p_x) q_xk psi_x / sqrt(lam_k).
+    """
+    root = np.sqrt(probs)
+    gram = kets.conj() @ kets.T
+    lam, q = np.linalg.eigh(root[:, None] * gram * root[None, :])
+    keep = lam > lam.max() * 1e-15
+    lam, q = lam[keep], q[:, keep]
+    overlaps = np.abs(gram @ (root[:, None] * q)) ** 2 / lam
+    chi = -float((lam * np.log(lam)).sum())
+    divergence = -(overlaps * np.log(lam)).sum(axis=1)
+    return chi / math.log(2), float(divergence.max()) / math.log(2)
+
+
+class TestRaisedSpectrum:
+    """Bounds stay finite and certified where the mixture loses rank."""
+
+    @staticmethod
+    def boundary_points(n: int):
+        yield np.eye(n)[0]
+        yield np.r_[1.0 - 1e-40, 1e-40, np.zeros(n - 2)]
+        yield np.r_[0.0, np.full(n - 1, 1.0 / (n - 1))]
+        yield np.r_[np.full(n - 1, (1.0 - 1e-40) / (n - 1)), 1e-40]
+
+    def test_boundary_distributions_keep_certified_bounds(self):
+        for i in range(10):
+            n, m = 2 + i % 3, 2 + i % 2
+            for ch in (random_channel(n, m, 2000 + i, "pure"),
+                       padded(random_channel(n, m, 2100 + i, "pure"))):
+                grid = grid_capacity(ch, GridSpec(DEFAULT_GRID_RESOLUTION[n]))
+                for p in self.boundary_points(n):
+                    state = make_iteration_state(ch, p)
+                    bound = upper_bound(ch, 0.0, state)
+                    _, value = ba_step(ch, 0.0, state)
+                    assert math.isfinite(bound)
+                    assert bound >= grid.value_bits
+                    assert value <= grid.value_bits + grid.slack_bits
+
+    def test_nearly_dependent_coherent_states_certify(self):
+        # 12 coherent states in 32 Fock levels: the mixture's smallest
+        # eigenvalues fall under the cutoff while their letters keep mass
+        rng = np.random.default_rng(2)
+        alphas = rng.uniform(0.5, 3.0, 12) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, 12))
+        kets = np.array([coherent_ket(a, 32) for a in alphas])
+        result = unconstrained_capacity(CqChannel([np.outer(v, v.conj()) for v in kets]),
+                                        epsilon=1e-6)
+        lower, upper = result.gap_certificate_bits
+        chi, bound = gram_form_bounds_bits(kets, result.probs.probs)
+        assert upper - lower <= 1e-6
+        assert lower <= bound + 1e-9
+        assert chi <= upper + 1e-9
+        assert chi - 1e-9 <= result.capacity_bits <= bound + 1e-9
 
 
 class TestRateDiagnostics:
