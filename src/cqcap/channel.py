@@ -21,7 +21,8 @@ from .errors import BadParams, DimensionMismatch, LengthMismatch
 from .hermitian import (
     LN2,
     DensityMatrix,
-    trace_product,
+    _entropy_nats,
+    _validate_stack,
     validate_density,
 )
 
@@ -89,14 +90,18 @@ class CqChannel:
     """Finite input alphabet mapped to output states, with a per-letter cost."""
 
     def __init__(self, states, costs=None):
-        resolved = tuple(
-            s if isinstance(s, DensityMatrix) else validate_density(s) for s in states
-        )
+        resolved = list(states)
         if not resolved:
             raise BadParams("a channel needs at least one state")
-        dim = resolved[0].dim
-        if any(s.dim != dim for s in resolved):
+        raw = [k for k, s in enumerate(resolved) if not isinstance(s, DensityMatrix)]
+        mats = [np.asarray(resolved[k], dtype=np.complex128) for k in raw]
+        shapes = {a.shape for a in mats} | {
+            s.matrix.shape for s in resolved if isinstance(s, DensityMatrix)}
+        if len(shapes) > 1:
             raise DimensionMismatch("all states must share one dimension")
+        if raw:
+            for k, rho in zip(raw, _validate_stack(np.stack(mats))):
+                resolved[k] = rho
         n = len(resolved)
         if costs is None:
             cost_vec = np.zeros(n)
@@ -108,7 +113,7 @@ class CqChannel:
                 raise BadParams("costs must be finite and nonnegative")
             cost_vec = cost_vec.copy()
         cost_vec.setflags(write=False)
-        self._states = resolved
+        self._states = tuple(resolved)
         self._costs = cost_vec
 
     @property
@@ -143,13 +148,7 @@ class CqChannel:
     @cached_property
     def gram(self) -> np.ndarray:
         """Pairwise trace inner products Tr(rho_i rho_j); real symmetric PSD."""
-        n = self.size
-        g = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                g[i, j] = g[j, i] = trace_product(
-                    self._states[i].matrix, self._states[j].matrix
-                ).real
+        g = np.einsum("xij,yji->xy", self.state_stack, self.state_stack).real
         g.setflags(write=False)
         return g
 
@@ -166,7 +165,9 @@ def output_state(ch: CqChannel, p) -> DensityMatrix:
 def holevo_quantity(ch: CqChannel, p) -> float:
     """H(mixture) - sum_x p_x H(rho_x), in bits; always nonnegative."""
     w = as_probability_vector(p, ch.size)
-    return _holevo_bits(ch, w, output_state(ch, w).entropy_nats)
+    # a mixture of validated states needs no validation, only its spectrum
+    mixture = np.einsum("x,xij->ij", w, ch.state_stack)
+    return _holevo_bits(ch, w, _entropy_nats(np.linalg.eigvalsh(mixture)))
 
 
 def _holevo_bits(ch: CqChannel, w: np.ndarray, mixture_entropy_nats: float) -> float:

@@ -17,17 +17,10 @@ from .errors import BadTrace, DimensionMismatch, NotHermitian, NotPSD
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds used when validating a density matrix."""
-
-    hermitian: float = 1e-9        # max-norm asymmetry, relative to the entry scale
-    trace: float = 1e-9            # |Tr - 1|
-    eigenvalue_rel: float = 1e-12  # support cutoff, relative to the largest eigenvalue
-    support: float = 1e-10         # mass tolerated outside another state's support
-
-
-DEFAULT_TOLERANCES = Tolerances()
+HERMITIAN_TOL = 1e-9    # max-norm asymmetry, relative to the entry scale
+TRACE_TOL = 1e-9        # |Tr - 1|
+EIGENVALUE_REL = 1e-12  # support cutoff, relative to the largest eigenvalue
+SUPPORT_TOL = 1e-10     # mass tolerated outside another state's support
 
 
 @dataclass(frozen=True)
@@ -47,12 +40,9 @@ class DensityMatrix:
     at construction and reused by every downstream operation.
     """
 
-    def __init__(self, matrix: np.ndarray, spectrum: Spectrum, eig_cutoff: float,
-                 tolerances: Tolerances):
+    def __init__(self, matrix: np.ndarray, spectrum: Spectrum):
         self._matrix = matrix
         self._spectrum = spectrum
-        self._eig_cutoff = float(eig_cutoff)
-        self._tolerances = tolerances
 
     @property
     def matrix(self) -> np.ndarray:
@@ -69,14 +59,6 @@ class DensityMatrix:
     @property
     def rank(self) -> int:
         return self._spectrum.rank
-
-    @property
-    def eig_cutoff(self) -> float:
-        return self._eig_cutoff
-
-    @property
-    def tolerances(self) -> Tolerances:
-        return self._tolerances
 
     @cached_property
     def entropy_nats(self) -> float:
@@ -106,45 +88,60 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, rank={self.rank})"
 
 
-def validate_density(raw, tolerances: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
+def validate_density(raw) -> DensityMatrix:
     """Check and normalize a raw matrix into a :class:`DensityMatrix`.
 
     The input is symmetrized, its spectrum is computed, and eigenvalues in
     ``(-cutoff, cutoff]`` are clamped to zero with the trace renormalized;
-    the cutoff is relative to the largest eigenvalue. Larger negativity,
-    asymmetry, or trace deviation raise instead of being repaired.
+    the cutoff is ``EIGENVALUE_REL`` times the largest eigenvalue. Larger
+    negativity, asymmetry, or trace deviation raise instead of being repaired.
     """
-    a = np.asarray(raw, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise ValueError("matrix entries must be finite")
-    scale = max(1.0, float(np.abs(a).max()))
-    asymmetry = float(np.abs(a - a.conj().T).max())
-    if asymmetry > tolerances.hermitian * scale:
-        raise NotHermitian(f"asymmetry {asymmetry:.3e} exceeds tolerance")
-    herm = 0.5 * (a + a.conj().T)
-    trace = float(herm.trace().real)
-    if abs(trace - 1.0) > tolerances.trace:
-        raise BadTrace(f"trace {trace!r} deviates from 1 beyond tolerance")
-    w, v = np.linalg.eigh(herm)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    cutoff = tolerances.eigenvalue_rel * max(float(w[0]), np.finfo(float).tiny)
-    if float(w[-1]) < -cutoff:
-        raise NotPSD(f"eigenvalue {float(w[-1]):.3e} below -{cutoff:.3e}")
-    clamped = np.where(w <= cutoff, 0.0, w)
-    if bool(np.any(clamped != w)) or abs(float(clamped.sum()) - 1.0) > 1e-13:
-        clamped = clamped / float(clamped.sum())
-        herm = (v * clamped) @ v.conj().T
-        herm = 0.5 * (herm + herm.conj().T)
-    else:
-        herm = herm.copy()
+    return _validate_stack(np.asarray(raw, dtype=np.complex128)[None])[0]
 
-    rank = int(np.count_nonzero(clamped > 0.0))
+
+def _first_bad(flags: np.ndarray) -> int | None:
+    bad = np.flatnonzero(flags)
+    return int(bad[0]) if bad.size else None
+
+
+def _validate_stack(a: np.ndarray) -> list[DensityMatrix]:
+    """:func:`validate_density`'s rule on each matrix of an (n, m, m) complex stack.
+
+    Every check runs along the first axis at once, and one batched ``eigh``
+    serves all states; an error names the index of the first faulty state.
+    """
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape[1:]}")
+    if (k := _first_bad(~np.isfinite(a).all(axis=(1, 2)))) is not None:
+        raise ValueError(f"state {k}: matrix entries must be finite")
+    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+    adjoint = a.conj().swapaxes(1, 2)
+    asymmetry = np.abs(a - adjoint).max(axis=(1, 2))
+    if (k := _first_bad(asymmetry > HERMITIAN_TOL * scale)) is not None:
+        raise NotHermitian(f"state {k}: asymmetry {asymmetry[k]:.3e} exceeds tolerance")
+    herm = 0.5 * (a + adjoint)
+    trace = np.trace(herm, axis1=1, axis2=2).real
+    if (k := _first_bad(np.abs(trace - 1.0) > TRACE_TOL)) is not None:
+        raise BadTrace(f"state {k}: trace {float(trace[k])!r} deviates from 1 beyond tolerance")
+    w, v = np.linalg.eigh(herm)
+    w = w[:, ::-1].copy()
+    v = v[:, :, ::-1].copy()
+    cutoff = EIGENVALUE_REL * np.maximum(w[:, 0], np.finfo(float).tiny)
+    if (k := _first_bad(w[:, -1] < -cutoff)) is not None:
+        raise NotPSD(f"state {k}: eigenvalue {float(w[k, -1]):.3e} below -{cutoff[k]:.3e}")
+    clamped = np.where(w <= cutoff[:, None], 0.0, w)
+    repair = (clamped != w).any(axis=1) | (np.abs(clamped.sum(axis=1) - 1.0) > 1e-13)
+    fixed = clamped[repair] / clamped[repair].sum(axis=1, keepdims=True)
+    vr = v[repair]
+    rebuilt = (vr * fixed[:, None, :]) @ vr.conj().swapaxes(1, 2)
+    clamped[repair] = fixed
+    herm[repair] = 0.5 * (rebuilt + rebuilt.conj().swapaxes(1, 2))
+
+    rank = np.count_nonzero(clamped > 0.0, axis=1)
     for arr in (herm, clamped, v):
         arr.setflags(write=False)
-    return DensityMatrix(herm, Spectrum(clamped, v, rank), cutoff, tolerances)
+    return [DensityMatrix(herm[k], Spectrum(clamped[k], v[k], int(rank[k])))
+            for k in range(a.shape[0])]
 
 
 def _entropy_nats(eigenvalues: np.ndarray) -> float:
@@ -184,7 +181,7 @@ def relative_entropy_nats(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     proj = kernel_projector(sigma)
     if proj is not None:
         leakage = trace_product(rho.matrix, proj).real
-        if leakage > sigma.tolerances.support:
+        if leakage > SUPPORT_TOL:
             return math.inf
     cross = trace_product(rho.matrix, log_on_support(sigma)).real
     # mathematically >= 0 for unit-trace PSD inputs; clamp rounding dust

@@ -33,7 +33,7 @@ from .channel import (
     output_state,
 )
 from .errors import EmptyTrace, SupportViolation
-from .hermitian import DEFAULT_TOLERANCES, LN2, _entropy_nats, log_on_support
+from .hermitian import EIGENVALUE_REL, LN2, _entropy_nats, log_on_support
 
 STALL_TOL_BITS = 1e-14
 STALL_WINDOW = 50
@@ -57,7 +57,6 @@ class SolverConfig:
     multiplier: float = 0.0
     epsilon: float = 1e-6
     max_iter: int = 1_000_000
-    trace_every: int = 1
 
     def __post_init__(self):
         if self.multiplier < 0:
@@ -66,8 +65,6 @@ class SolverConfig:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,8 @@ class FixedLambdaResult:
     """Outcome of a fixed-multiplier run.
 
     ``value_bits`` is the penalized Holevo value at the final distribution;
-    ``[lower_bits, upper_bits]`` is the certified interval for the optimum.
+    ``[lower_bits, upper_bits]`` is the certified interval for the optimum,
+    the best bounds of any step.
     """
 
     probs: InputDistribution
@@ -140,7 +138,7 @@ def _iteration_state(ch: CqChannel, w: np.ndarray, step: int = 0) -> IterationSt
     # w is a simplex vector the caller vouches for, so the mixture of validated
     # states is Hermitian with unit trace and needs only its spectrum
     evals, evecs = np.linalg.eigh(np.einsum("x,xij->ij", w, ch.state_stack))
-    raised = np.maximum(evals, DEFAULT_TOLERANCES.eigenvalue_rel * float(evals.max()))
+    raised = np.maximum(evals, EIGENVALUE_REL * float(evals.max()))
     log_tau = (evecs * np.log(raised)) @ evecs.conj().T
     cross = np.einsum("xij,ji->x", ch.state_stack, log_tau).real
     div = np.maximum(-ch.letter_entropies_nats - cross, 0.0)
@@ -199,10 +197,12 @@ def upper_bound(ch: CqChannel, multiplier: float, state: IterationState) -> floa
 def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
     """Iterate from the uniform distribution until the certified gap closes.
 
-    Returns ``(FixedLambdaResult, IterationTrace)``. Termination: certified
-    gap <= epsilon, a stall (step-value growth below ``STALL_TOL_BITS`` for
-    ``STALL_WINDOW`` consecutive steps, reported rather than silently
-    accepted), or the iteration cap. A custom ``initial`` distribution must
+    Returns ``(FixedLambdaResult, IterationTrace)``. Every step value is a
+    lower bound and every step's upper bound is one too, so the certified gap
+    is the smallest upper bound seen minus the largest step value seen.
+    Termination: that gap <= epsilon, a stall (neither bound improved by
+    ``STALL_TOL_BITS`` for ``STALL_WINDOW`` consecutive steps, reported
+    rather than silently accepted), or the iteration cap. A custom ``initial`` distribution must
     be strictly positive: a zero-mass letter can never regain mass, which
     would silently solve a sub-channel.
     """
@@ -216,41 +216,27 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
     trace = IterationTrace()
     reason = TerminationReason.MAX_ITER
     iterations = 0
-    best_value = -math.inf
+    lower, upper = -math.inf, math.inf
     stall_count = 0
-    last_row = None
 
     while iterations < config.max_iter:
         bound_bits = upper_bound(ch, config.multiplier, state)
         new_state, value_bits = ba_step(ch, config.multiplier, state)
         iterations += 1
         l1 = float(np.abs(new_state.probs - state.probs).sum())
-        last_row = (
-            state.step,
-            value_bits,
-            bound_bits,
-            float(ch.costs @ state.probs),
-            l1,
-            state.probs,
-        )
-        if state.step % config.trace_every == 0:
-            trace.record(*last_row)
-            last_row = None
+        trace.record(state.step, value_bits, bound_bits, float(ch.costs @ state.probs), l1,
+                     state.probs)
         state = new_state
-        if bound_bits - value_bits <= config.epsilon:
+        moved = (value_bits - lower >= STALL_TOL_BITS
+                 or upper - bound_bits >= STALL_TOL_BITS)
+        lower, upper = max(lower, value_bits), min(upper, bound_bits)
+        if upper - lower <= config.epsilon:
             reason = TerminationReason.GAP_REACHED
             break
-        if value_bits - best_value < STALL_TOL_BITS:
-            stall_count += 1
-            if stall_count >= STALL_WINDOW:
-                reason = TerminationReason.STALLED
-                break
-        else:
-            stall_count = 0
-        best_value = max(best_value, value_bits)
-
-    if last_row is not None:
-        trace.record(*last_row)
+        stall_count = 0 if moved else stall_count + 1
+        if stall_count >= STALL_WINDOW:
+            reason = TerminationReason.STALLED
+            break
 
     final = state.probs
     expected_cost = float(ch.costs @ final)
@@ -259,8 +245,8 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
     result = FixedLambdaResult(
         probs=InputDistribution(final),
         value_bits=value,
-        lower_bits=trace.objective_bits[-1],
-        upper_bits=trace.upper_bits[-1],
+        lower_bits=lower,
+        upper_bits=upper,
         expected_cost=expected_cost,
         iterations=iterations,
         termination=reason,

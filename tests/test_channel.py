@@ -17,9 +17,18 @@ from cqcap import (
     quantum_relative_entropy,
     random_channel,
     save_channel,
+    trace_product,
+    validate_density,
     von_neumann_entropy,
 )
-from cqcap.errors import BadParams, LengthMismatch
+from cqcap.errors import (
+    BadParams,
+    BadTrace,
+    DimensionMismatch,
+    LengthMismatch,
+    NotHermitian,
+    NotPSD,
+)
 from helpers import (
     NONORTH_PAIR_CAPACITY,
     binary_entropy_bits,
@@ -125,6 +134,71 @@ class TestHolevoQuantity:
             rho_bar = output_state(CqChannel(rhos), p)
             sigma_bar = output_state(CqChannel(sigmas), q)
             assert lhs >= quantum_relative_entropy(rho_bar, sigma_bar) - 1e-9
+
+
+def _kinds_of_states(rng, m: int):
+    """Pure, mixed, diagonal and zero-padded rank-deficient m x m states."""
+    ket = rng.normal(size=m) + 1j * rng.normal(size=m)
+    ket /= np.linalg.norm(ket)
+    mixed = random_density_matrix(rng, m).matrix
+    diagonal = np.diag(random_simplex_point(rng, m)).astype(complex)
+    padded = np.zeros((m, m), dtype=complex)
+    padded[:-1, :-1] = random_density_matrix(rng, m - 1).matrix
+    return [np.outer(ket, ket.conj()), mixed, diagonal, padded]
+
+
+class TestStackValidation:
+    """A channel validates its raw states in one batch, under the single-state rule."""
+
+    def test_batched_states_equal_single_validation(self):
+        rng = np.random.default_rng(61)
+        for m in (2, 3, 5, 8):
+            mats = _kinds_of_states(rng, m) + _kinds_of_states(rng, m)
+            ch = CqChannel(mats)
+            for raw, rho in zip(mats, ch.states):
+                single = validate_density(raw)
+                assert np.array_equal(rho.matrix, single.matrix)
+                assert np.array_equal(rho.spectrum.eigenvalues, single.spectrum.eigenvalues)
+                assert rho.rank == single.rank
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([[0.5, 0.3], [0.0, 0.5]]), NotHermitian),
+        (np.diag([0.6, 0.5]), BadTrace),
+        (np.diag([1.5, -0.5]), NotPSD),
+        (np.array([[np.nan, 0.0], [0.0, 0.5]]), ValueError),
+    ])
+    def test_bad_state_is_named_by_index(self, bad, error):
+        with pytest.raises(error):
+            validate_density(bad)
+        good = [np.eye(2) / 2, np.diag([1.0, 0.0]), np.full((2, 2), 0.5)]
+        for k in range(4):
+            mats = good[:k] + [bad] + good[k:]
+            with pytest.raises(error, match=f"state {k}:"):
+                CqChannel(mats)
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            CqChannel([np.eye(2) / 2, np.eye(3) / 3])
+        with pytest.raises(DimensionMismatch):
+            CqChannel([validate_density(np.eye(2) / 2), np.eye(3) / 3])
+
+    def test_empty_state_list_rejected(self):
+        with pytest.raises(BadParams):
+            CqChannel([])
+
+    def test_validated_states_are_kept_as_given(self):
+        rho = validate_density(np.diag([0.9, 0.1]))
+        ch = CqChannel([rho, np.eye(2) / 2])
+        assert ch.states[0] is rho
+
+    def test_gram_matches_pairwise_trace_products(self):
+        rng = np.random.default_rng(67)
+        for m in (2, 4, 6):
+            ch = CqChannel(_kinds_of_states(rng, m) + _kinds_of_states(rng, m))
+            for i, a in enumerate(ch.states):
+                for j, b in enumerate(ch.states):
+                    expected = trace_product(a.matrix, b.matrix).real
+                    assert abs(ch.gram[i, j] - expected) <= 1e-15
 
 
 class TestIndependenceCheck:

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cqcap
 from cqcap import save_channel
 from cqcap.cli import main
 from helpers import BUDGET_CAPACITY, nonorthogonal_pair_channel, orthogonal_channel
@@ -178,9 +181,12 @@ class TestCapacityCommand:
         assert a == b
 
     def test_module_entry_point(self, orth_file):
+        # the child imports the same cqcap as this process, installed or not
+        paths = [str(Path(cqcap.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
         proc = subprocess.run(
             [sys.executable, "-m", "cqcap.cli", "capacity", "--channel", orth_file],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["capacity_bits"] == pytest.approx(

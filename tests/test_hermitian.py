@@ -47,6 +47,14 @@ class TestValidateDensity:
         with pytest.raises(ValueError):
             validate_density(np.ones((2, 3)))
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            validate_density(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+
+    def test_stack_of_matrices_rejected(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            validate_density(np.stack([np.eye(2) / 2, np.eye(2) / 2]))
+
     def test_tiny_negativity_clamped_and_renormalized(self):
         rho = validate_density(np.diag([1.0 + 1e-15, -1e-15]))
         assert rho.rank == 1
