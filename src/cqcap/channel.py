@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import BadParams, DimensionMismatch, LengthMismatch
 from .hermitian import (
+    EIGENVALUE_REL,
     LN2,
     DensityMatrix,
     _entropy_nats,
@@ -87,7 +88,15 @@ def kl_divergence_bits(p: np.ndarray, q: np.ndarray) -> float:
 
 
 class CqChannel:
-    """Finite input alphabet mapped to output states, with a per-letter cost."""
+    """Finite input alphabet mapped to output states, with a per-letter cost.
+
+    Construction also fixes the basis the solver works in: the eigenvectors
+    of sum_x rho_x whose eigenvalues exceed ``EIGENVALUE_REL`` times the
+    largest, an isometry V onto the joint support of the states, of
+    dimension d. ``support_stack`` holds every V^H rho_x V. The discarded
+    eigenvalues sum to a bound on any one state's weight outside V, since
+    each state lies below the sum.
+    """
 
     def __init__(self, states, costs=None):
         resolved = list(states)
@@ -99,10 +108,14 @@ class CqChannel:
             s.matrix.shape for s in resolved if isinstance(s, DensityMatrix)}
         if len(shapes) > 1:
             raise DimensionMismatch("all states must share one dimension")
-        if raw:
-            for k, rho in zip(raw, _validate_stack(np.stack(mats))):
-                resolved[k] = rho
         n = len(resolved)
+        if raw:
+            stack, validated = _validate_stack(np.stack(mats))
+            for k, rho in zip(raw, validated):
+                resolved[k] = rho
+        if len(raw) < n:
+            stack = np.stack([s.matrix for s in resolved])
+            stack.setflags(write=False)
         if costs is None:
             cost_vec = np.zeros(n)
         else:
@@ -115,6 +128,18 @@ class CqChannel:
         cost_vec.setflags(write=False)
         self._states = tuple(resolved)
         self._costs = cost_vec
+        self._state_stack = stack
+        self._support_stack = stack
+        self._outside_mass = 0.0
+        w, v = np.linalg.eigh(stack.sum(axis=0))
+        keep = w > EIGENVALUE_REL * w[-1]
+        if not keep.all():
+            iso = v[:, keep]
+            support = iso.conj().T @ stack @ iso
+            support = 0.5 * (support + support.conj().swapaxes(1, 2))
+            support.setflags(write=False)
+            self._support_stack = support
+            self._outside_mass = float(np.maximum(w[~keep], 0.0).sum())
 
     @property
     def states(self) -> tuple[DensityMatrix, ...]:
@@ -132,12 +157,20 @@ class CqChannel:
     def dim(self) -> int:
         return self._states[0].dim
 
-    @cached_property
+    @property
     def state_stack(self) -> np.ndarray:
         """All state matrices as one (n, m, m) array."""
-        stack = np.stack([s.matrix for s in self._states])
-        stack.setflags(write=False)
-        return stack
+        return self._state_stack
+
+    @property
+    def support_stack(self) -> np.ndarray:
+        """Every state in the joint-support basis, one (n, d, d) array.
+
+        When the support is the whole space (d = m) this is ``state_stack``
+        itself. The solver and :func:`holevo_quantity` work on it; the
+        oracles read ``state_stack``.
+        """
+        return self._support_stack
 
     @cached_property
     def letter_entropies_nats(self) -> np.ndarray:
@@ -165,8 +198,9 @@ def output_state(ch: CqChannel, p) -> DensityMatrix:
 def holevo_quantity(ch: CqChannel, p) -> float:
     """H(mixture) - sum_x p_x H(rho_x), in bits; always nonnegative."""
     w = as_probability_vector(p, ch.size)
-    # a mixture of validated states needs no validation, only its spectrum
-    mixture = np.einsum("x,xij->ij", w, ch.state_stack)
+    # a mixture of validated states needs no validation, only its spectrum,
+    # and its nonzero spectrum lies in the joint support
+    mixture = np.einsum("x,xij->ij", w, ch.support_stack)
     return _holevo_bits(ch, w, _entropy_nats(np.linalg.eigvalsh(mixture)))
 
 

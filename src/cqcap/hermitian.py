@@ -2,12 +2,24 @@
 
 Entropic quantities are exposed in bits; natural-log variants carry a
 ``_nats`` suffix and are what the iterative solver consumes internally.
+
+Validation takes eigenvalues only. A state's eigenvalues at or below the
+cutoff are clamped to zero in its spectrum, but its matrix is not rebuilt
+from the clamped spectrum: it stays the symmetrized input, divided by its
+trace. Each clamped eigenvalue is at most the cutoff in size, and dividing
+by the trace moves the kept ones by as much as the clamped ones sum to, so
+the stored matrix is within 2 m * cutoff in trace norm of the state whose
+spectrum and entropy are reported (cutoff = ``EIGENVALUE_REL`` times the
+largest eigenvalue, at most 1e-12). Symmetrizing already discards an
+asymmetry of up to ``HERMITIAN_TOL`` times the entry scale, far more than
+this. Divergences against an operator whose log is bounded by L in norm
+move by at most 2 m * cutoff * L.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -25,19 +37,30 @@ SUPPORT_TOL = 1e-10     # mass tolerated outside another state's support
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Real eigenvalues in descending order with matching orthonormal eigenvectors."""
+    """Real eigenvalues in descending order, and the rank.
+
+    The matching orthonormal eigenvectors are computed from ``matrix`` on
+    first use, so states that only need their entropy never pay for them.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     rank: int
+    matrix: np.ndarray = field(repr=False)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        v = np.linalg.eigh(self.matrix)[1][:, ::-1].copy()
+        v.setflags(write=False)
+        return v
 
 
 class DensityMatrix:
     """Hermitian, positive semi-definite, unit-trace operator with cached spectral data.
 
     Instances are immutable and safe to share between threads; build them
-    through :func:`validate_density`. The eigendecomposition is computed once
-    at construction and reused by every downstream operation.
+    through :func:`validate_density`. The eigenvalues are computed at
+    construction; eigenvectors, the log and the kernel projector once, on
+    first use.
     """
 
     def __init__(self, matrix: np.ndarray, spectrum: Spectrum):
@@ -91,12 +114,13 @@ class DensityMatrix:
 def validate_density(raw) -> DensityMatrix:
     """Check and normalize a raw matrix into a :class:`DensityMatrix`.
 
-    The input is symmetrized, its spectrum is computed, and eigenvalues in
-    ``(-cutoff, cutoff]`` are clamped to zero with the trace renormalized;
-    the cutoff is ``EIGENVALUE_REL`` times the largest eigenvalue. Larger
-    negativity, asymmetry, or trace deviation raise instead of being repaired.
+    The input is symmetrized and its eigenvalues are computed. Eigenvalues in
+    ``(-cutoff, cutoff]`` are clamped to zero in the spectrum, which is then
+    renormalized, and the matrix is divided by its trace; the cutoff is
+    ``EIGENVALUE_REL`` times the largest eigenvalue. Larger negativity,
+    asymmetry, or trace deviation raise instead of being repaired.
     """
-    return _validate_stack(np.asarray(raw, dtype=np.complex128)[None])[0]
+    return _validate_stack(np.asarray(raw, dtype=np.complex128)[None])[1][0]
 
 
 def _first_bad(flags: np.ndarray) -> int | None:
@@ -104,11 +128,13 @@ def _first_bad(flags: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
-def _validate_stack(a: np.ndarray) -> list[DensityMatrix]:
+def _validate_stack(a: np.ndarray) -> tuple[np.ndarray, list[DensityMatrix]]:
     """:func:`validate_density`'s rule on each matrix of an (n, m, m) complex stack.
 
-    Every check runs along the first axis at once, and one batched ``eigh``
-    serves all states; an error names the index of the first faulty state.
+    Returns the validated matrices as one read-only stack, and each as a state.
+    Every check runs along the first axis at once, and one batched
+    ``eigvalsh`` serves all states; an error names the index of the first
+    faulty state.
     """
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape[1:]}")
@@ -123,25 +149,21 @@ def _validate_stack(a: np.ndarray) -> list[DensityMatrix]:
     trace = np.trace(herm, axis1=1, axis2=2).real
     if (k := _first_bad(np.abs(trace - 1.0) > TRACE_TOL)) is not None:
         raise BadTrace(f"state {k}: trace {float(trace[k])!r} deviates from 1 beyond tolerance")
-    w, v = np.linalg.eigh(herm)
-    w = w[:, ::-1].copy()
-    v = v[:, :, ::-1].copy()
+    w = np.linalg.eigvalsh(herm)[:, ::-1]
     cutoff = EIGENVALUE_REL * np.maximum(w[:, 0], np.finfo(float).tiny)
     if (k := _first_bad(w[:, -1] < -cutoff)) is not None:
         raise NotPSD(f"state {k}: eigenvalue {float(w[k, -1]):.3e} below -{cutoff[k]:.3e}")
     clamped = np.where(w <= cutoff[:, None], 0.0, w)
     repair = (clamped != w).any(axis=1) | (np.abs(clamped.sum(axis=1) - 1.0) > 1e-13)
-    fixed = clamped[repair] / clamped[repair].sum(axis=1, keepdims=True)
-    vr = v[repair]
-    rebuilt = (vr * fixed[:, None, :]) @ vr.conj().swapaxes(1, 2)
-    clamped[repair] = fixed
-    herm[repair] = 0.5 * (rebuilt + rebuilt.conj().swapaxes(1, 2))
+    if repair.any():
+        clamped[repair] /= clamped[repair].sum(axis=1, keepdims=True)
+        herm[repair] /= trace[repair, None, None]
 
     rank = np.count_nonzero(clamped > 0.0, axis=1)
-    for arr in (herm, clamped, v):
+    for arr in (herm, clamped):
         arr.setflags(write=False)
-    return [DensityMatrix(herm[k], Spectrum(clamped[k], v[k], int(rank[k])))
-            for k in range(a.shape[0])]
+    return herm, [DensityMatrix(herm[k], Spectrum(clamped[k], int(rank[k]), herm[k]))
+                  for k in range(a.shape[0])]
 
 
 def _entropy_nats(eigenvalues: np.ndarray) -> float:

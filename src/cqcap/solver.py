@@ -14,6 +14,21 @@ step value stays a lower bound. tau' / (1 + delta) is a state, and by the
 min-max formula any state's max_x D(rho_x || tau) - penalty_x bounds the
 optimum from above; that is the largest divergence plus log(1 + delta).
 Every bound is finite, at any distribution, zero-mass letters included.
+
+Every step works in the channel's joint-support basis: the d x d blocks
+V^H rho_x V of ``CqChannel.support_stack``, with d = rank(sum_x rho_x), so
+a step costs d^3 rather than m^3. Each state's weight l_x outside V is at
+most eta, the discarded eigenvalue mass of sum_x rho_x. With c the raised
+cutoff, T = V tau' V^H + c (1 - V V^H) is block diagonal, so
+Tr(rho_x log T) = Tr(V^H rho_x V log tau') + l_x log c exactly, and
+Tr T <= 1 + delta + (m - d) c. So the upper bound takes the compressed
+divergences and adds log(1 + delta + (m - d) c) - eta log c, which makes it
+at least the bound of the state T / Tr T. When the states lie inside V,
+T >= sigma_p and the compressed divergences are those against T, so the
+step value stays a lower bound. Any state's weight outside V is at most
+eta, of the order of the cutoff that validation already clamps (rounding,
+for states exactly inside a proper subspace). When d = m, eta is zero and
+the step is the uncompressed one, bit for bit.
 """
 
 from __future__ import annotations
@@ -72,12 +87,14 @@ class IterationState:
     """One iterate: distribution, its mixture's spectrum, and cached divergences.
 
     ``divergences_nats`` are taken against the mixture with its eigenvalues
-    raised to the cutoff; ``excess_nats`` is log(1 + the trace the raising added).
+    raised to the cutoff; ``excess_nats`` is what the upper bound adds to the
+    largest of them: log(1 + the trace the raising added), plus the charge
+    for the states' weight outside the support basis.
     """
 
     step: int
     probs: np.ndarray
-    eigenvalues: np.ndarray  # of the mixture, ascending, before raising
+    eigenvalues: np.ndarray  # of the mixture in the support basis, ascending, before raising
     divergences_nats: np.ndarray
     excess_nats: float
 
@@ -137,12 +154,16 @@ def make_iteration_state(ch: CqChannel, p, step: int = 0) -> IterationState:
 def _iteration_state(ch: CqChannel, w: np.ndarray, step: int = 0) -> IterationState:
     # w is a simplex vector the caller vouches for, so the mixture of validated
     # states is Hermitian with unit trace and needs only its spectrum
-    evals, evecs = np.linalg.eigh(np.einsum("x,xij->ij", w, ch.state_stack))
-    raised = np.maximum(evals, EIGENVALUE_REL * float(evals.max()))
+    stack = ch.support_stack
+    evals, evecs = np.linalg.eigh(np.einsum("x,xij->ij", w, stack))
+    floor = EIGENVALUE_REL * float(evals.max())
+    raised = np.maximum(evals, floor)
     log_tau = (evecs * np.log(raised)) @ evecs.conj().T
-    cross = np.einsum("xij,ji->x", ch.state_stack, log_tau).real
+    cross = np.einsum("xij,ji->x", stack, log_tau).real
     div = np.maximum(-ch.letter_entropies_nats - cross, 0.0)
-    return IterationState(step, w, evals, div, math.log1p(float((raised - evals).sum())))
+    added = float((raised - evals).sum()) + (ch.dim - evals.size) * floor
+    excess = math.log1p(added) - ch._outside_mass * math.log(floor)
+    return IterationState(step, w, evals, div, excess)
 
 
 def surrogate_objective(ch: CqChannel, multiplier: float, p, p_prime) -> float:
@@ -173,11 +194,8 @@ def ba_step(ch: CqChannel, multiplier: float, state: IterationState):
     bound on the penalized optimum at any distribution.
     """
     penalty_nats = multiplier * LN2 * ch.costs
-    mask = state.probs > 0
-    log_weights = np.full(ch.size, -math.inf)
-    log_weights[mask] = (
-        np.log(state.probs[mask]) + state.divergences_nats[mask] - penalty_nats[mask]
-    )
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(state.probs) + state.divergences_nats - penalty_nats
     top = float(log_weights.max())
     log_norm = top + math.log(float(np.exp(log_weights - top).sum()))
     new_state = _iteration_state(ch, np.exp(log_weights - log_norm), state.step + 1)

@@ -13,6 +13,7 @@ from cqcap import (
     independence_check,
     kl_divergence_bits,
     load_channel,
+    log_on_support,
     output_state,
     quantum_relative_entropy,
     random_channel,
@@ -29,6 +30,7 @@ from cqcap.errors import (
     NotHermitian,
     NotPSD,
 )
+from cqcap.hermitian import kernel_projector
 from helpers import (
     NONORTH_PAIR_CAPACITY,
     binary_entropy_bits,
@@ -199,6 +201,34 @@ class TestStackValidation:
                 for j, b in enumerate(ch.states):
                     expected = trace_product(a.matrix, b.matrix).real
                     assert abs(ch.gram[i, j] - expected) <= 1e-15
+
+    def test_construction_takes_one_eigh_for_the_joint_support(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        n, m = 6, 9
+        kets = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        ch = CqChannel([np.outer(v, v.conj()) for v in kets])
+        assert shapes == [(m, m)]
+        monkeypatch.undo()
+        assert ch.support_stack.shape == (n, n, n)
+        for rho in ch.states:
+            spec = rho.spectrum
+            rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+            assert np.abs(rebuilt - rho.matrix).max() < 1e-9
+            kernel = kernel_projector(rho)
+            assert np.abs(kernel @ rho.matrix).max() < 1e-9
+            assert abs(np.trace(kernel).real - (m - 1)) < 1e-9
+            # a pure state is its own support projector, where its log is 0
+            assert np.abs(log_on_support(rho)).max() < 1e-9
+            assert np.abs(rho.matrix + kernel - np.eye(m)).max() < 1e-9
 
 
 class TestIndependenceCheck:

@@ -22,7 +22,7 @@ from cqcap import (
     upper_bound,
 )
 from cqcap.errors import EmptyTrace, SupportViolation
-from cqcap.hermitian import kernel_projector
+from cqcap.hermitian import EIGENVALUE_REL, LN2, kernel_projector
 from cqcap.oracle import DEFAULT_GRID_RESOLUTION, GridSpec, grid_capacity
 from helpers import (
     BSC_CAPACITY,
@@ -377,6 +377,135 @@ class TestRaisedSpectrum:
         chi, _ = gram_form_bounds_bits(kets, res.probs.probs)
         assert holevo_quantity(ch, res.probs) == pytest.approx(res.value_bits, abs=1e-12)
         assert holevo_quantity(ch, res.probs) == pytest.approx(chi, abs=1e-10)
+
+
+def full_space_step(ch: CqChannel, multiplier: float, p: np.ndarray):
+    """The uncompressed step: the solver's formula on the full (n, m, m) ``state_stack``.
+
+    Returns the divergences (nats), the upper bound and the step value (bits).
+    """
+    evals, evecs = np.linalg.eigh(np.einsum("x,xij->ij", p, ch.state_stack))
+    raised = np.maximum(evals, EIGENVALUE_REL * evals.max())
+    log_tau = (evecs * np.log(raised)) @ evecs.conj().T
+    cross = np.einsum("xij,ji->x", ch.state_stack, log_tau).real
+    div = np.maximum(-ch.letter_entropies_nats - cross, 0.0)
+    penalty = multiplier * LN2 * ch.costs
+    upper = ((div - penalty).max() + math.log1p((raised - evals).sum())) / LN2
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(p) + div - penalty
+    top = log_weights.max()
+    return div, upper, (top + math.log(np.exp(log_weights - top).sum())) / LN2
+
+
+def full_space_holevo_bits(ch: CqChannel, p: np.ndarray) -> float:
+    w = np.linalg.eigvalsh(np.einsum("x,xij->ij", p, ch.state_stack))
+    w = w[w > 0.0]
+    return float(-(w * np.log(w)).sum() - p @ ch.letter_entropies_nats) / LN2
+
+
+def coherent_channel(alphas: np.ndarray, dim: int = 32) -> CqChannel:
+    kets = [coherent_ket(a, dim) for a in alphas]
+    return CqChannel([np.outer(v, v.conj()) for v in kets], np.abs(alphas) ** 2)
+
+
+class TestSupportBasis:
+    """The solver's joint-support basis reproduces the uncompressed step."""
+
+    @staticmethod
+    def cases():
+        """(channel, joint-support dimension d) pairs."""
+        rng = np.random.default_rng(41)
+        alphas = rng.uniform(0.5, 3.0, 16) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, 16))
+        costs3 = [0.0, 1.0, 0.4]
+        yield CqChannel(random_channel(3, 3, 31, "pure").states, costs3), 3
+        yield CqChannel(random_channel(3, 4, 32, "mixed").states, costs3), 4
+        yield CqChannel(padded(random_channel(3, 3, 33, "pure")).states, costs3), 3
+        yield CqChannel(padded(random_channel(3, 2, 34, "mixed")).states, costs3), 2
+        yield coherent_channel(alphas), 16
+        # 12 distinct states and 4 repeats: d = 12 < n = 16 < m = 32
+        yield coherent_channel(np.r_[alphas[:12], alphas[:4]]), 12
+
+    @staticmethod
+    def points(rng, n: int):
+        yield np.full(n, 1.0 / n)
+        yield rng.dirichlet(np.full(n, 0.5))
+        yield np.r_[0.0, np.full(n - 1, 1.0 / (n - 1))]
+        yield np.eye(n)[n - 1]
+
+    def test_support_dimension(self):
+        for ch, d in self.cases():
+            assert ch.support_stack.shape == (ch.size, d, d)
+            assert (ch.support_stack is ch.state_stack) == (d == ch.dim)
+
+    def test_step_matches_full_space_step(self):
+        rng = np.random.default_rng(43)
+        for ch, d in self.cases():
+            for multiplier in (0.0, 0.7):
+                for p in self.points(rng, ch.size):
+                    state = make_iteration_state(ch, p)
+                    assert state.eigenvalues.shape == (d,)
+                    div, upper, value = full_space_step(ch, multiplier, p)
+                    assert np.abs(state.divergences_nats - div).max() <= 1e-10
+                    assert abs(upper_bound(ch, multiplier, state) - upper) <= 1e-10
+                    assert abs(ba_step(ch, multiplier, state)[1] - value) <= 1e-10
+
+    def test_full_support_step_is_bit_identical(self):
+        rng = np.random.default_rng(47)
+        for kind in ("pure", "mixed", "diagonal"):
+            ch = CqChannel(random_channel(4, 3, 48, kind).states, [0.0, 1.0, 0.4, 2.0])
+            assert ch.support_stack is ch.state_stack
+            for p in self.points(rng, 4):
+                state = make_iteration_state(ch, p)
+                div, upper, value = full_space_step(ch, 0.7, p)
+                assert np.array_equal(state.divergences_nats, div)
+                assert upper_bound(ch, 0.7, state) == upper
+                assert ba_step(ch, 0.7, state)[1] == value
+
+    def test_holevo_matches_full_space_mixture(self):
+        rng = np.random.default_rng(53)
+        for ch, _ in self.cases():
+            for p in self.points(rng, ch.size):
+                assert abs(holevo_quantity(ch, p) - full_space_holevo_bits(ch, p)) <= 1e-12
+
+    @staticmethod
+    def nearly_dependent_alphas():
+        # 16 coherent states whose sum has one eigenvalue, ~3e-12, under the
+        # cutoff: d = 15 < n, and the discarded direction carries real weight
+        rng = np.random.default_rng(144)
+        return rng.uniform(0.5, 3.0, 16) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, 16))
+
+    def test_upper_bound_charges_the_discarded_mass(self):
+        ch = coherent_channel(self.nearly_dependent_alphas())
+        w, v = np.linalg.eigh(ch.state_stack.sum(axis=0))
+        keep = w > EIGENVALUE_REL * w[-1]
+        eta = np.maximum(w[~keep], 0.0).sum()
+        outside = np.eye(ch.dim) - v[:, keep] @ v[:, keep].conj().T
+        assert ch.support_stack.shape[1] == 15 and eta > 1e-12
+        assert np.einsum("xij,ji->x", ch.state_stack, outside).real.max() <= eta + 1e-15
+        rng = np.random.default_rng(61)
+        for p in (np.full(16, 1.0 / 16), rng.dirichlet(np.ones(16))):
+            state = make_iteration_state(ch, p)
+            floor = EIGENVALUE_REL * state.eigenvalues.max()
+            added = (np.maximum(state.eigenvalues, floor) - state.eigenvalues).sum()
+            charged = math.log1p(added + (ch.dim - 15) * floor) - eta * math.log(floor)
+            assert state.excess_nats == pytest.approx(charged, rel=0.0, abs=1e-15)
+
+    def test_nearly_dependent_states_keep_both_bounds(self):
+        alphas = self.nearly_dependent_alphas()
+        ch = coherent_channel(alphas)
+        assert ch.support_stack.shape[1] == 15
+        for p in self.points(np.random.default_rng(59), 16):
+            # a letter's divergence can move where the mixture's smallest kept
+            # eigenvalues do, but the step value weighs it by the letter's mass
+            _, _, value = full_space_step(ch, 0.0, p)
+            assert abs(ba_step(ch, 0.0, make_iteration_state(ch, p))[1] - value) <= 1e-10
+        kets = np.array([coherent_ket(a, 32) for a in alphas])
+        result = unconstrained_capacity(CqChannel(ch.states), epsilon=1e-6)
+        lower, upper = result.gap_certificate_bits
+        chi, bound = gram_form_bounds_bits(kets, result.probs.probs)
+        assert upper - lower <= 1e-6
+        assert lower <= bound + 1e-9
+        assert chi <= upper + 1e-9
 
 
 class TestRateDiagnostics:

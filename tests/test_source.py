@@ -37,3 +37,19 @@ def test_every_error_type_is_raised():
         and obj is not errors.CqcapError
     }
     assert sorted(defined - raised) == []
+
+
+def test_oracles_stay_off_the_solver_basis():
+    # the oracles verify the solver, so they read the full state_stack,
+    # never the compressed joint-support stack the solver steps on
+    path = SOURCE_DIR / "oracle.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    assert "state_stack" in names
+    assert not names & {"support_stack", "_support_stack", "_outside_mass"}
