@@ -35,12 +35,14 @@ EIGENVALUE_REL = 1e-12  # support cutoff, relative to the largest eigenvalue
 SUPPORT_TOL = 1e-10     # mass tolerated outside another state's support
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Real eigenvalues in descending order, and the rank.
 
     The matching orthonormal eigenvectors are computed from ``matrix`` on
     first use, so states that only need their entropy never pay for them.
+    Spectra compare and hash by identity, as ``DensityMatrix`` does: an
+    elementwise comparison of the arrays has no single truth value.
     """
 
     eigenvalues: np.ndarray

@@ -29,6 +29,20 @@ step value stays a lower bound. Any state's weight outside V is at most
 eta, of the order of the cutoff that validation already clamps (rounding,
 for states exactly inside a proper subspace). When d = m, eta is zero and
 the step is the uncompressed one, bit for bit.
+
+The solver steps further than the plain update T when that keeps the
+ascent. From a state s with step value log Z(s) it proposes the
+extrapolated update q ~ p exp(gamma (D - penalty)) (the accelerated step of
+Matz and Duhamel; gamma = 1 is T) and keeps q when log Z(q) >= log Z(s).
+Otherwise it takes T(s) and resets gamma to 1; each kept step multiplies
+gamma by ``GAMMA_GROWTH``, up to ``GAMMA_MAX``. Both bounds are those of
+the current state, valid at any distribution, so the certificate does not
+depend on which update led there. A run that stops at s returns T(s),
+whose penalized Holevo value is at least log Z(s), so the returned
+distribution carries the lower bound. The proposal floors the log-weights
+of letters with positive mass at ``LOG_WEIGHT_FLOOR`` below the largest:
+a large gamma would otherwise underflow a letter the plain update keeps to
+zero mass, which it could never regain.
 """
 
 from __future__ import annotations
@@ -53,6 +67,9 @@ from .hermitian import EIGENVALUE_REL, LN2, _entropy_nats, log_on_support
 STALL_TOL_BITS = 1e-14
 STALL_WINDOW = 50
 DIVERGENCE_FLOOR_BITS = 1e-13
+GAMMA_GROWTH = 1.1
+GAMMA_MAX = 64.0
+LOG_WEIGHT_FLOOR = 700.0  # nats; exp(-700) is still a normal float
 
 
 class TerminationReason(str, Enum):
@@ -134,7 +151,9 @@ class FixedLambdaResult:
 
     ``value_bits`` is the penalized Holevo value at the final distribution;
     ``[lower_bits, upper_bits]`` is the certified interval for the optimum,
-    the best bounds of any step.
+    the best bounds of any step. ``rejected_steps`` counts the extrapolated
+    steps that lost ascent and were replaced by the plain update; the run
+    took ``iterations + rejected_steps + 1`` spectra of a mixture.
     """
 
     probs: InputDistribution
@@ -144,6 +163,7 @@ class FixedLambdaResult:
     expected_cost: float
     iterations: int
     termination: TerminationReason
+    rejected_steps: int
 
 
 def make_iteration_state(ch: CqChannel, p, step: int = 0) -> IterationState:
@@ -187,19 +207,40 @@ def surrogate_objective(ch: CqChannel, multiplier: float, p, p_prime) -> float:
     return nats / LN2
 
 
+def _log_partition(state: IterationState, penalty_nats: np.ndarray):
+    """The plain update's log-weights log p + D - penalty, and their log-sum-exp log Z."""
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(state.probs) + state.divergences_nats - penalty_nats
+    top = float(log_weights.max())
+    return log_weights, top + math.log(float(np.exp(log_weights - top).sum()))
+
+
 def ba_step(ch: CqChannel, multiplier: float, state: IterationState):
     """One multiplicative update; returns the new state and the step value in bits.
 
     Letters with zero mass stay at zero. The step value is a certified lower
     bound on the penalized optimum at any distribution.
     """
-    penalty_nats = multiplier * LN2 * ch.costs
-    with np.errstate(divide="ignore"):
-        log_weights = np.log(state.probs) + state.divergences_nats - penalty_nats
-    top = float(log_weights.max())
-    log_norm = top + math.log(float(np.exp(log_weights - top).sum()))
+    log_weights, log_norm = _log_partition(state, multiplier * LN2 * ch.costs)
     new_state = _iteration_state(ch, np.exp(log_weights - log_norm), state.step + 1)
     return new_state, log_norm / LN2
+
+
+def _extrapolated_step(ch: CqChannel, state: IterationState, penalty_nats: np.ndarray,
+                       gamma: float) -> IterationState:
+    """The state at p * exp(gamma (D - penalty)), normalized.
+
+    The log-weights of letters with positive mass are floored at
+    ``LOG_WEIGHT_FLOOR`` nats below the largest, so the new masses stay
+    normal floats and no letter the plain step keeps is zeroed.
+    """
+    positive = state.probs > 0.0
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(state.probs) + gamma * (state.divergences_nats - penalty_nats)
+    top = float(log_weights.max())
+    np.maximum(log_weights, top - LOG_WEIGHT_FLOOR, out=log_weights, where=positive)
+    weights = np.exp(log_weights - top)
+    return _iteration_state(ch, weights / weights.sum(), state.step + 1)
 
 
 def upper_bound(ch: CqChannel, multiplier: float, state: IterationState) -> float:
@@ -215,14 +256,18 @@ def upper_bound(ch: CqChannel, multiplier: float, state: IterationState) -> floa
 def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
     """Iterate from the uniform distribution until the certified gap closes.
 
-    Returns ``(FixedLambdaResult, IterationTrace)``. Every step value is a
-    lower bound and every step's upper bound is one too, so the certified gap
-    is the smallest upper bound seen minus the largest step value seen.
-    Termination: that gap <= epsilon, a stall (neither bound improved by
-    ``STALL_TOL_BITS`` for ``STALL_WINDOW`` consecutive steps, reported
-    rather than silently accepted), or the iteration cap. A custom ``initial`` distribution must
-    be strictly positive: a zero-mass letter can never regain mass, which
-    would silently solve a sub-channel.
+    Returns ``(FixedLambdaResult, IterationTrace)``. Each step takes the
+    extrapolated update when it keeps the ascent and the plain update
+    otherwise (module docstring); the trace records the steps taken, and the
+    returned distribution is the plain update of the last recorded state.
+    Every step value is a lower bound and every step's upper bound is one
+    too, so the certified gap is the smallest upper bound seen minus the
+    largest step value seen. Termination: that gap <= epsilon, a stall
+    (neither bound improved by ``STALL_TOL_BITS`` for ``STALL_WINDOW``
+    consecutive steps, reported rather than silently accepted), or the
+    iteration cap. A custom ``initial`` distribution must be strictly
+    positive: a zero-mass letter can never regain mass, which would silently
+    solve a sub-channel.
     """
     if initial is None:
         start = np.full(ch.size, 1.0 / ch.size)
@@ -231,30 +276,49 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         if float(start.min()) <= 0.0:
             raise ValueError("initial distribution must be strictly positive")
     state = _iteration_state(ch, start)
+    penalty_nats = config.multiplier * LN2 * ch.costs
+    log_z = _log_partition(state, penalty_nats)[1]
+    gamma = 1.0
     trace = IterationTrace()
-    reason = TerminationReason.MAX_ITER
-    iterations = 0
+    iterations = rejected = stall_count = 0
     lower, upper = -math.inf, math.inf
-    stall_count = 0
 
-    while iterations < config.max_iter:
+    while True:
         bound_bits = upper_bound(ch, config.multiplier, state)
-        new_state, value_bits = ba_step(ch, config.multiplier, state)
+        value_bits = log_z / LN2
         iterations += 1
+        moved = (value_bits - lower >= STALL_TOL_BITS
+                 or upper - bound_bits >= STALL_TOL_BITS)
+        lower, upper = max(lower, value_bits), min(upper, bound_bits)
+        stall_count = 0 if moved else stall_count + 1
+        if upper - lower <= config.epsilon:
+            reason = TerminationReason.GAP_REACHED
+        elif stall_count >= STALL_WINDOW:
+            reason = TerminationReason.STALLED
+        elif iterations >= config.max_iter:
+            reason = TerminationReason.MAX_ITER
+        else:
+            reason = None
+        if reason is None:
+            new_state = _extrapolated_step(ch, state, penalty_nats, gamma)
+            new_log_z = _log_partition(new_state, penalty_nats)[1]
+            # at gamma = 1 the proposal is the plain update, which needs no test
+            if new_log_z >= log_z or gamma == 1.0:
+                gamma = min(GAMMA_MAX, GAMMA_GROWTH * gamma)
+            else:
+                rejected += 1
+                gamma = 1.0
+                new_state, _ = ba_step(ch, config.multiplier, state)
+                new_log_z = _log_partition(new_state, penalty_nats)[1]
+        else:
+            new_state, _ = ba_step(ch, config.multiplier, state)
         l1 = float(np.abs(new_state.probs - state.probs).sum())
         trace.record(state.step, value_bits, bound_bits, float(ch.costs @ state.probs), l1,
                      state.probs)
         state = new_state
-        moved = (value_bits - lower >= STALL_TOL_BITS
-                 or upper - bound_bits >= STALL_TOL_BITS)
-        lower, upper = max(lower, value_bits), min(upper, bound_bits)
-        if upper - lower <= config.epsilon:
-            reason = TerminationReason.GAP_REACHED
+        if reason is not None:
             break
-        stall_count = 0 if moved else stall_count + 1
-        if stall_count >= STALL_WINDOW:
-            reason = TerminationReason.STALLED
-            break
+        log_z = new_log_z
 
     final = state.probs
     expected_cost = float(ch.costs @ final)
@@ -268,6 +332,7 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         expected_cost=expected_cost,
         iterations=iterations,
         termination=reason,
+        rejected_steps=rejected,
     )
     return result, trace
 

@@ -13,6 +13,7 @@ from cqcap import (
     CqChannel,
     GridSpec,
     SolverConfig,
+    TerminationReason,
     ba_step,
     classical_ba,
     constrained_capacity,
@@ -162,6 +163,32 @@ def test_criterion_07_geometric_tail(independent_runs):
             violations += 1
     check(7, "divergence-to-optimum tail contracts strictly on 25 independent channels",
           violations == 0, f"largest tail ratio {worst:.6f}")
+
+
+def criterion_02_channels():
+    """The 50 diagonal channels of criterion 02, drawn the same way."""
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(2, 9))
+        yield random_channel(n, m, int(rng.integers(1 << 31)), "diagonal")
+
+
+def test_returned_distribution_carries_the_certificate(traced_runs):
+    # the solver may step off the plain update, but the distribution it
+    # returns is the plain update of the last state, whose value is at least
+    # that state's step value
+    runs = [(ch, res, trace, 1e-6) for ch, res, trace in traced_runs]
+    for ch in criterion_02_channels():
+        res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8))
+        runs.append((ch, res, trace, 1e-8))
+    for ch, res, trace, eps in runs:
+        assert res.value_bits >= res.lower_bits - 1e-12
+        assert all(float(iterate.min()) > 0.0 for iterate in trace.iterates)
+        assert float(res.probs.probs.min()) > 0.0
+        if res.termination is TerminationReason.GAP_REACHED:
+            result = unconstrained_capacity(ch, epsilon=eps)
+            assert result.gap_certificate_bits[1] - result.capacity_bits <= eps
 
 
 def test_criterion_08_quadratic_lower_bound():

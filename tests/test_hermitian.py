@@ -73,6 +73,13 @@ class TestValidateDensity:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 3.0
 
+    def test_equal_spectra_compare_and_hash_by_identity(self):
+        a = validate_density(np.eye(2) / 2).spectrum
+        b = validate_density(np.eye(2) / 2).spectrum
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
 
 class TestEntropy:
     def test_maximally_mixed_is_one_bit(self):

@@ -230,7 +230,7 @@ class TestSolveFixedLambda:
         _, trace = solve_fixed_lambda(ch, SolverConfig(multiplier=lam))
         for i in range(min(10, len(trace) - 1)):
             current = trace.iterates[i]
-            after = trace.iterates[i + 1]
+            after = ba_step(ch, lam, make_iteration_state(ch, current))[0].probs
             value = trace.objective_bits[i]
             for _ in range(5):
                 q = random_simplex_point(rng, 3)
@@ -244,6 +244,31 @@ class TestSolveFixedLambda:
             res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=2e-7))
             assert res.termination is TerminationReason.GAP_REACHED
             assert trace.l1_step[-1] < 1e-6
+
+    def test_boundary_optimum_certifies_in_few_steps(self):
+        # its optimum has a letter of mass ~3e-5; the plain update alone
+        # needs 72,427 steps to close the gap
+        ch = random_channel(8, 2, 356456227, "diagonal")
+        res, _ = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8))
+        assert res.termination is TerminationReason.GAP_REACHED
+        assert res.iterations <= 20_000
+
+    def test_rejected_steps_count_the_extra_eigh_calls(self, monkeypatch):
+        ch = random_channel(4, 3, 5, "mixed")
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8))
+        monkeypatch.undo()
+        assert res.termination is TerminationReason.GAP_REACHED
+        assert res.rejected_steps > 0
+        assert len(trace) == res.iterations
+        assert len(shapes) == res.iterations + res.rejected_steps + 1
 
     def test_costs_zero_make_multiplier_irrelevant(self):
         ch = random_channel(3, 2, 61, "mixed")
