@@ -67,14 +67,14 @@ def unconstrained_capacity(ch: CqChannel, epsilon: float = 1e-6,
     """Capacity without a cost budget (multiplier fixed at zero)."""
     config = SolverConfig(multiplier=0.0, epsilon=epsilon, max_iter=max_iter)
     res, trace = solve_fixed_lambda(ch, config)
-    return _capacity_result(ch, res.probs.probs, res.upper_bits, 0.0, False,
+    # at multiplier zero the solver's value is the Holevo value of its distribution
+    return _capacity_result(ch, res.probs.probs, res.value_bits, res.upper_bits, 0.0, False,
                             [(0.0, res.expected_cost)], res.termination, trace)
 
 
-def _capacity_result(ch, probs, upper, multiplier, active, evaluations, termination,
+def _capacity_result(ch, probs, lower, upper, multiplier, active, evaluations, termination,
                      trace) -> CapacityResult:
-    """Certify the feasible distribution ``probs``: its Holevo value below, ``upper`` above."""
-    lower = holevo_quantity(ch, probs)
+    """Certify the feasible ``probs``: its Holevo value ``lower`` below, ``upper`` above."""
     return CapacityResult(
         capacity_bits=lower,
         probs=InputDistribution(probs),
@@ -123,8 +123,8 @@ def constrained_capacity(ch: CqChannel, cost_limit: float, epsilon: float = 1e-6
 
     res, trace, above = solve(0.0)
     if res.expected_cost <= cost_limit or cost_limit >= max_cost:
-        return _capacity_result(ch, res.probs.probs, res.upper_bits, 0.0, False,
-                                evaluations, res.termination, trace)
+        return _capacity_result(ch, res.probs.probs, res.value_bits, res.upper_bits, 0.0,
+                                False, evaluations, res.termination, trace)
 
     # only the cheapest letters fit a budget at their cost, so their own
     # capacity is the left end of the curve
@@ -136,8 +136,8 @@ def constrained_capacity(ch: CqChannel, cost_limit: float, epsilon: float = 1e-6
     lifted = np.zeros(ch.size)
     lifted[cheapest] = res.probs.probs
     if cost_limit == min_cost:
-        return _capacity_result(ch, lifted, res.upper_bits, math.inf, True,
-                                evaluations, res.termination, trace)
+        return _capacity_result(ch, lifted, holevo_quantity(ch, lifted), res.upper_bits,
+                                math.inf, True, evaluations, res.termination, trace)
     below = (min_cost, res.value_bits, lifted)
 
     while True:
@@ -151,7 +151,7 @@ def constrained_capacity(ch: CqChannel, cost_limit: float, epsilon: float = 1e-6
         if (upper - lower <= epsilon or len(evaluations) - 2 >= MAX_CHORD_SOLVES
                 or any(abs(slope - lam) <= LAMBDA_TOL_REL * max(1.0, slope)
                        for _, lam in duals)):
-            return _capacity_result(ch, mix, upper, multiplier, True, evaluations,
+            return _capacity_result(ch, mix, lower, upper, multiplier, True, evaluations,
                                     res.termination, trace)
         # the slope lies between the two points' multipliers, so its optimizer's
         # cost lies between theirs; their even mixture has mass where either has

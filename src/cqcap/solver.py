@@ -30,6 +30,20 @@ eta, of the order of the cutoff that validation already clamps (rounding,
 for states exactly inside a proper subspace). When d = m, eta is zero and
 the step is the uncompressed one, bit for bit.
 
+A step reads the (n, d, d) complex ``support_stack`` without a copy as an
+(n, 2 d^2) real array, each entry's real and imaginary parts side by side
+(``CqChannel._packed_support``), and does its two contractions as real
+matrix-vector products on it: the mixture is w @ packed, read back as a
+d x d complex matrix, and the cross terms are packed @ vec(log tau'), the
+log packed the same way. For Hermitian rho and L,
+Tr(rho L) = sum_ij rho_ij L_ji = sum_ij rho_ij conj(L_ij) is real, so it
+equals the real part sum_ij (Re rho_ij Re L_ij + Im rho_ij Im L_ij): the
+real dot product of the two packed rows. That kernel, ``_spectral_terms``,
+is the only evaluation of a state: the solve loop keeps each state as plain
+arrays, and ``make_iteration_state``, ``ba_step`` and ``upper_bound`` wrap
+the same kernel, so they reproduce the loop's bounds and step values bit
+for bit.
+
 The solver steps further than the plain update T when that keeps the
 ascent. From a state s with step value log Z(s) it proposes the
 extrapolated update q ~ p exp(gamma (D - penalty)) (the accelerated step of
@@ -57,6 +71,7 @@ from .channel import (
     CqChannel,
     InputDistribution,
     _holevo_bits,
+    _support_mixture,
     as_probability_vector,
     kl_divergence_bits,
     output_state,
@@ -168,22 +183,28 @@ class FixedLambdaResult:
 
 def make_iteration_state(ch: CqChannel, p, step: int = 0) -> IterationState:
     """Bundle a distribution with its mixture's spectrum and per-letter divergences."""
-    return _iteration_state(ch, as_probability_vector(p, ch.size), step)
+    w = as_probability_vector(p, ch.size)
+    return IterationState(step, w, *_spectral_terms(ch, w))
 
 
-def _iteration_state(ch: CqChannel, w: np.ndarray, step: int = 0) -> IterationState:
+def _spectral_terms(ch: CqChannel, w: np.ndarray):
+    """The step's kernel: the mixture's spectrum, the divergences and the excess.
+
+    Returns the mixture's eigenvalues in the support basis (ascending, before
+    raising), the divergences against the raised mixture (nats) and the
+    upper bound's excess (nats); see ``IterationState``.
+    """
     # w is a simplex vector the caller vouches for, so the mixture of validated
     # states is Hermitian with unit trace and needs only its spectrum
-    stack = ch.support_stack
-    evals, evecs = np.linalg.eigh(np.einsum("x,xij->ij", w, stack))
+    evals, evecs = np.linalg.eigh(_support_mixture(ch, w))
     floor = EIGENVALUE_REL * float(evals.max())
     raised = np.maximum(evals, floor)
     log_tau = (evecs * np.log(raised)) @ evecs.conj().T
-    cross = np.einsum("xij,ji->x", stack, log_tau).real
+    cross = ch._packed_support @ log_tau.reshape(-1).view(np.float64)
     div = np.maximum(-ch.letter_entropies_nats - cross, 0.0)
     added = float((raised - evals).sum()) + (ch.dim - evals.size) * floor
     excess = math.log1p(added) - ch._outside_mass * math.log(floor)
-    return IterationState(step, w, evals, div, excess)
+    return evals, div, excess
 
 
 def surrogate_objective(ch: CqChannel, multiplier: float, p, p_prime) -> float:
@@ -207,12 +228,10 @@ def surrogate_objective(ch: CqChannel, multiplier: float, p, p_prime) -> float:
     return nats / LN2
 
 
-def _log_partition(state: IterationState, penalty_nats: np.ndarray):
-    """The plain update's log-weights log p + D - penalty, and their log-sum-exp log Z."""
-    with np.errstate(divide="ignore"):
-        log_weights = np.log(state.probs) + state.divergences_nats - penalty_nats
+def _log_partition(log_weights: np.ndarray) -> float:
+    """log Z, the log-sum-exp of the plain update's log-weights log p + D - penalty."""
     top = float(log_weights.max())
-    return log_weights, top + math.log(float(np.exp(log_weights - top).sum()))
+    return top + math.log(float(np.exp(log_weights - top).sum()))
 
 
 def ba_step(ch: CqChannel, multiplier: float, state: IterationState):
@@ -221,26 +240,12 @@ def ba_step(ch: CqChannel, multiplier: float, state: IterationState):
     Letters with zero mass stay at zero. The step value is a certified lower
     bound on the penalized optimum at any distribution.
     """
-    log_weights, log_norm = _log_partition(state, multiplier * LN2 * ch.costs)
-    new_state = _iteration_state(ch, np.exp(log_weights - log_norm), state.step + 1)
-    return new_state, log_norm / LN2
-
-
-def _extrapolated_step(ch: CqChannel, state: IterationState, penalty_nats: np.ndarray,
-                       gamma: float) -> IterationState:
-    """The state at p * exp(gamma (D - penalty)), normalized.
-
-    The log-weights of letters with positive mass are floored at
-    ``LOG_WEIGHT_FLOOR`` nats below the largest, so the new masses stay
-    normal floats and no letter the plain step keeps is zeroed.
-    """
-    positive = state.probs > 0.0
     with np.errstate(divide="ignore"):
-        log_weights = np.log(state.probs) + gamma * (state.divergences_nats - penalty_nats)
-    top = float(log_weights.max())
-    np.maximum(log_weights, top - LOG_WEIGHT_FLOOR, out=log_weights, where=positive)
-    weights = np.exp(log_weights - top)
-    return _iteration_state(ch, weights / weights.sum(), state.step + 1)
+        log_weights = (np.log(state.probs) + state.divergences_nats
+                       - multiplier * LN2 * ch.costs)
+    log_norm = _log_partition(log_weights)
+    w = np.exp(log_weights - log_norm)
+    return IterationState(state.step + 1, w, *_spectral_terms(ch, w)), log_norm / LN2
 
 
 def upper_bound(ch: CqChannel, multiplier: float, state: IterationState) -> float:
@@ -275,57 +280,72 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         start = as_probability_vector(initial, ch.size)
         if float(start.min()) <= 0.0:
             raise ValueError("initial distribution must be strictly positive")
-    state = _iteration_state(ch, start)
     penalty_nats = config.multiplier * LN2 * ch.costs
-    log_z = _log_partition(state, penalty_nats)[1]
+
+    def evaluate(w):
+        # what the loop reads of a state: log w, the divergences, the excess,
+        # the plain update's log-weights and log Z
+        _, div, excess = _spectral_terms(ch, w)
+        log_w = np.log(w)
+        log_weights = log_w + div - penalty_nats
+        return log_w, div, excess, log_weights, _log_partition(log_weights)
+
     gamma = 1.0
     trace = IterationTrace()
     iterations = rejected = stall_count = 0
     lower, upper = -math.inf, math.inf
-
-    while True:
-        bound_bits = upper_bound(ch, config.multiplier, state)
-        value_bits = log_z / LN2
-        iterations += 1
-        moved = (value_bits - lower >= STALL_TOL_BITS
-                 or upper - bound_bits >= STALL_TOL_BITS)
-        lower, upper = max(lower, value_bits), min(upper, bound_bits)
-        stall_count = 0 if moved else stall_count + 1
-        if upper - lower <= config.epsilon:
-            reason = TerminationReason.GAP_REACHED
-        elif stall_count >= STALL_WINDOW:
-            reason = TerminationReason.STALLED
-        elif iterations >= config.max_iter:
-            reason = TerminationReason.MAX_ITER
-        else:
-            reason = None
-        if reason is None:
-            new_state = _extrapolated_step(ch, state, penalty_nats, gamma)
-            new_log_z = _log_partition(new_state, penalty_nats)[1]
-            # at gamma = 1 the proposal is the plain update, which needs no test
-            if new_log_z >= log_z or gamma == 1.0:
-                gamma = min(GAMMA_MAX, GAMMA_GROWTH * gamma)
+    p = start
+    # zero-mass letters take log 0 = -inf and keep zero mass
+    with np.errstate(divide="ignore"):
+        log_p, div, excess, log_weights, log_z = evaluate(p)
+        while True:
+            bound_bits = (float((div - penalty_nats).max()) + excess) / LN2
+            value_bits = log_z / LN2
+            iterations += 1
+            moved = (value_bits - lower >= STALL_TOL_BITS
+                     or upper - bound_bits >= STALL_TOL_BITS)
+            lower, upper = max(lower, value_bits), min(upper, bound_bits)
+            stall_count = 0 if moved else stall_count + 1
+            if upper - lower <= config.epsilon:
+                reason = TerminationReason.GAP_REACHED
+            elif stall_count >= STALL_WINDOW:
+                reason = TerminationReason.STALLED
+            elif iterations >= config.max_iter:
+                reason = TerminationReason.MAX_ITER
             else:
-                rejected += 1
-                gamma = 1.0
-                new_state, _ = ba_step(ch, config.multiplier, state)
-                new_log_z = _log_partition(new_state, penalty_nats)[1]
-        else:
-            new_state, _ = ba_step(ch, config.multiplier, state)
-        l1 = float(np.abs(new_state.probs - state.probs).sum())
-        trace.record(state.step, value_bits, bound_bits, float(ch.costs @ state.probs), l1,
-                     state.probs)
-        state = new_state
-        if reason is not None:
-            break
-        log_z = new_log_z
+                reason = None
+            if reason is None:
+                # the extrapolated update p * exp(gamma (D - penalty)), its
+                # positive-mass letters floored so that none underflows to zero
+                trial = log_p + gamma * (div - penalty_nats)
+                top = float(trial.max())
+                np.maximum(trial, top - LOG_WEIGHT_FLOOR, out=trial, where=p > 0.0)
+                weights = np.exp(trial - top)
+                new_p = weights / weights.sum()
+                terms = evaluate(new_p)
+                # at gamma = 1 the proposal is the plain update, which needs no test
+                if terms[-1] >= log_z or gamma == 1.0:
+                    gamma = min(GAMMA_MAX, GAMMA_GROWTH * gamma)
+                else:
+                    rejected += 1
+                    gamma = 1.0
+                    new_p = np.exp(log_weights - log_z)
+                    terms = evaluate(new_p)
+            else:
+                new_p = np.exp(log_weights - log_z)
+            trace.record(iterations - 1, value_bits, bound_bits, float(ch.costs @ p),
+                         float(np.abs(new_p - p).sum()), p)
+            p = new_p
+            if reason is not None:
+                break
+            log_p, div, excess, log_weights, log_z = terms
 
-    final = state.probs
-    expected_cost = float(ch.costs @ final)
-    value = (_holevo_bits(ch, final, _entropy_nats(state.eigenvalues))
+    final_eigenvalues = _spectral_terms(ch, p)[0]
+    expected_cost = float(ch.costs @ p)
+    value = (_holevo_bits(ch, p, _entropy_nats(final_eigenvalues))
              - config.multiplier * expected_cost)
     result = FixedLambdaResult(
-        probs=InputDistribution(final),
+        probs=InputDistribution(p),
         value_bits=value,
         lower_bits=lower,
         upper_bits=upper,

@@ -47,6 +47,21 @@ class TestUnconstrainedCapacity:
         assert lower <= result.capacity_bits <= upper
         assert upper - lower <= 1e-6
 
+    def test_multiplier_zero_exits_reuse_the_solver_value(self, monkeypatch):
+        # the solver's value at multiplier zero is the Holevo value of its
+        # distribution, so no exit at multiplier zero computes it again
+        calls = []
+        holevo = cqcap.capacity.holevo_quantity
+        monkeypatch.setattr(cqcap.capacity, "holevo_quantity",
+                            lambda *args: calls.append(args) or holevo(*args))
+        for kind in ("pure", "mixed", "diagonal"):
+            ch = CqChannel(random_channel(4, 3, 23, kind).states, [0.0, 1.0, 0.4, 2.0])
+            for result in (unconstrained_capacity(ch), constrained_capacity(ch, 2.0),
+                           constrained_capacity(ch, math.inf)):
+                assert calls == []
+                assert not result.constraint_active
+                assert abs(result.capacity_bits - holevo(ch, result.probs)) <= 1e-12
+
 
 class TestConstrainedCapacity:
     def test_budgeted_orthogonal_pair(self):

@@ -255,20 +255,27 @@ class TestSolveFixedLambda:
 
     def test_rejected_steps_count_the_extra_eigh_calls(self, monkeypatch):
         ch = random_channel(4, 3, 5, "mixed")
-        shapes = []
-        eigh = np.linalg.eigh
+        shapes, einsums = [], []
+        eigh, einsum = np.linalg.eigh, np.einsum
 
         def counting_eigh(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return eigh(a, *args, **kwargs)
 
+        def counting_einsum(*args, **kwargs):
+            einsums.append(args[0])
+            return einsum(*args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np, "einsum", counting_einsum)
         res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8))
         monkeypatch.undo()
         assert res.termination is TerminationReason.GAP_REACHED
         assert res.rejected_steps > 0
         assert len(trace) == res.iterations
         assert len(shapes) == res.iterations + res.rejected_steps + 1
+        # the mixture and the cross terms are GEMVs on the packed stack
+        assert einsums == []
 
     def test_costs_zero_make_multiplier_irrelevant(self):
         ch = random_channel(3, 2, 61, "mixed")
@@ -309,6 +316,22 @@ class TestOneDivergencePath:
         state = make_iteration_state(orthogonal_channel(2), [1.0, 0.0])
         assert state.divergences_nats[0] == pytest.approx(0.0, abs=1e-12)
         assert state.divergences_nats[1] == pytest.approx(-math.log(1e-12), abs=1e-12)
+
+    def test_solve_loop_matches_the_public_wrappers_bit_for_bit(self):
+        # the loop evaluates each state on plain arrays; recomputing every
+        # recorded iterate through the wrappers must give the same bits
+        costs = [0.0, 1.0, 0.4, 2.0]
+        channels = [CqChannel(random_channel(4, 3, 29, kind).states, costs)
+                    for kind in ("pure", "mixed", "diagonal")]
+        channels.append(CqChannel(padded(random_channel(4, 3, 30, "pure")).states, costs))
+        for ch in channels:
+            for lam in (0.0, 0.7):
+                _, trace = solve_fixed_lambda(ch, SolverConfig(multiplier=lam, epsilon=1e-9))
+                assert trace.steps == list(range(len(trace)))
+                for i, iterate in enumerate(trace.iterates):
+                    state = make_iteration_state(ch, iterate)
+                    assert trace.upper_bits[i] == upper_bound(ch, lam, state)
+                    assert trace.objective_bits[i] == ba_step(ch, lam, state)[1]
 
     def test_value_matches_public_holevo(self):
         for lam, costs in ((0.0, [0.0, 0.0, 0.0]), (0.6, [0.0, 1.0, 0.3])):
@@ -407,12 +430,16 @@ class TestRaisedSpectrum:
 def full_space_step(ch: CqChannel, multiplier: float, p: np.ndarray):
     """The uncompressed step: the solver's formula on the full (n, m, m) ``state_stack``.
 
-    Returns the divergences (nats), the upper bound and the step value (bits).
+    The mixture and the cross terms take the solver's real GEMVs on the stack
+    packed as (n, 2 m^2) reals. Returns the divergences (nats), the upper
+    bound and the step value (bits).
     """
-    evals, evecs = np.linalg.eigh(np.einsum("x,xij->ij", p, ch.state_stack))
+    m = ch.dim
+    packed = ch.state_stack.reshape(ch.size, m * m).view(np.float64)
+    evals, evecs = np.linalg.eigh((p @ packed).view(np.complex128).reshape(m, m))
     raised = np.maximum(evals, EIGENVALUE_REL * evals.max())
     log_tau = (evecs * np.log(raised)) @ evecs.conj().T
-    cross = np.einsum("xij,ji->x", ch.state_stack, log_tau).real
+    cross = packed @ log_tau.reshape(-1).view(np.float64)
     div = np.maximum(-ch.letter_entropies_nats - cross, 0.0)
     penalty = multiplier * LN2 * ch.costs
     upper = ((div - penalty).max() + math.log1p((raised - evals).sum())) / LN2
@@ -461,6 +488,9 @@ class TestSupportBasis:
         for ch, d in self.cases():
             assert ch.support_stack.shape == (ch.size, d, d)
             assert (ch.support_stack is ch.state_stack) == (d == ch.dim)
+            # the step's real GEMVs read the stack itself, not a copy
+            assert ch._packed_support.shape == (ch.size, 2 * d * d)
+            assert np.shares_memory(ch._packed_support, ch.support_stack)
 
     def test_step_matches_full_space_step(self):
         rng = np.random.default_rng(43)
