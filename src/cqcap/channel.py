@@ -10,6 +10,7 @@ where each state is an m x m row-major array of ``[re, im]`` pairs and
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -211,18 +212,14 @@ def holevo_quantity(ch: CqChannel, p) -> float:
     w = as_probability_vector(p, ch.size)
     # a mixture of validated states needs no validation, only its spectrum,
     # and its nonzero spectrum lies in the joint support
-    return _holevo_bits(ch, w, _entropy_nats(np.linalg.eigvalsh(_support_mixture(ch, w))))
+    mixture_nats = _entropy_nats(np.linalg.eigvalsh(_support_mixture(ch, w)))
+    return max(0.0, (mixture_nats - float(w @ ch.letter_entropies_nats)) / LN2)
 
 
 def _support_mixture(ch: CqChannel, w: np.ndarray) -> np.ndarray:
     """The d x d mixture sum_x w_x V^H rho_x V, as one real GEMV on the packed stack."""
     d = ch.support_stack.shape[1]
     return (w @ ch._packed_support).view(np.complex128).reshape(d, d)
-
-
-def _holevo_bits(ch: CqChannel, w: np.ndarray, mixture_entropy_nats: float) -> float:
-    # the entropy must be that of the mixture sum_x w_x rho_x
-    return max(0.0, (mixture_entropy_nats - float(w @ ch.letter_entropies_nats)) / LN2)
 
 
 @dataclass(frozen=True)
@@ -283,7 +280,7 @@ def channel_from_jsonable(doc) -> CqChannel:
     if not isinstance(doc, dict):
         raise ValueError("channel document must be a JSON object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError("'dim' must be a positive integer")
     raw_states = doc.get("states")
     if not isinstance(raw_states, list) or not raw_states:
@@ -296,13 +293,24 @@ def channel_from_jsonable(doc) -> CqChannel:
                 f"state {idx} must be a {dim}x{dim} array of [re, im] pairs, "
                 f"got shape {arr.shape}"
             )
+        # the shape check vouches for the nesting; numpy would read a numeric
+        # string or a boolean entry as a number
+        entries = itertools.chain.from_iterable(itertools.chain.from_iterable(state))
+        if not all(map(_is_json_number, set(map(type, entries)))):
+            raise ValueError(f"state {idx} entries must be JSON numbers")
         mats.append(arr[..., 0] + 1j * arr[..., 1])
     costs = doc.get("costs")
     if costs is not None:
-        if not isinstance(costs, list) or len(costs) != len(mats):
+        if (not isinstance(costs, list) or len(costs) != len(mats)
+                or not all(map(_is_json_number, set(map(type, costs))))):
             raise ValueError("'costs' must list one number per state")
         costs = [float(c) for c in costs]
     return CqChannel(mats, costs)
+
+
+def _is_json_number(kind: type) -> bool:
+    # bool subclasses int, and JSON's true and false are not numbers
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
 
 
 def load_channel(path) -> CqChannel:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -168,6 +169,8 @@ def cmd_capacity(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
+        if args.oracle_grid is not None and args.oracle_grid < 2:
+            raise BadParams(f"--oracle-grid must be at least 2, got {args.oracle_grid!r}")
         channel, digest = _load(args.channel)
     except PARSE_ERRORS as exc:
         _emit_error(exc)
@@ -180,7 +183,9 @@ def cmd_validate(args) -> int:
         f"min_gram_eigenvalue={_format_float(report.min_gram_eigenvalue)}"
     )
     if channel.size <= 4:
-        resolution = args.oracle_grid or DEFAULT_GRID_RESOLUTION[channel.size]
+        resolution = args.oracle_grid
+        if resolution is None:
+            resolution = DEFAULT_GRID_RESOLUTION[channel.size]
         solved = unconstrained_capacity(channel)
         grid = grid_capacity(channel, GridSpec(resolution))
         gap = abs(solved.capacity_bits - grid.value_bits)
@@ -250,8 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import, so that importing the CLI stays cheap
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

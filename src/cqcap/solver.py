@@ -40,9 +40,10 @@ Tr(rho L) = sum_ij rho_ij L_ji = sum_ij rho_ij conj(L_ij) is real, so it
 equals the real part sum_ij (Re rho_ij Re L_ij + Im rho_ij Im L_ij): the
 real dot product of the two packed rows. That kernel, ``_spectral_terms``,
 is the only evaluation of a state: the solve loop keeps each state as plain
-arrays, and ``make_iteration_state``, ``ba_step`` and ``upper_bound`` wrap
-the same kernel, so they reproduce the loop's bounds and step values bit
-for bit.
+arrays, and ``make_iteration_state``, ``ba_step``, ``upper_bound`` and
+``surrogate_objective`` wrap the same kernel, so they reproduce the loop's
+bounds and step values bit for bit. The one Holevo value a solve reports is
+``holevo_quantity`` at the returned distribution, a values-only spectrum.
 
 The solver steps further than the plain update T when that keeps the
 ascent. From a state s with step value log Z(s) it proposes the
@@ -70,14 +71,13 @@ import numpy as np
 from .channel import (
     CqChannel,
     InputDistribution,
-    _holevo_bits,
     _support_mixture,
     as_probability_vector,
+    holevo_quantity,
     kl_divergence_bits,
-    output_state,
 )
 from .errors import EmptyTrace, SupportViolation
-from .hermitian import EIGENVALUE_REL, LN2, _entropy_nats, log_on_support
+from .hermitian import EIGENVALUE_REL, LN2
 
 STALL_TOL_BITS = 1e-14
 STALL_WINDOW = 50
@@ -124,7 +124,6 @@ class IterationState:
     for the states' weight outside the support basis.
     """
 
-    step: int
     probs: np.ndarray
     eigenvalues: np.ndarray  # of the mixture in the support basis, ascending, before raising
     divergences_nats: np.ndarray
@@ -135,7 +134,6 @@ class IterationState:
 class IterationTrace:
     """Recorded per-step diagnostics; ``divergence_to_final_bits`` is filled post hoc."""
 
-    steps: list = field(default_factory=list)
     objective_bits: list = field(default_factory=list)
     upper_bits: list = field(default_factory=list)
     expected_cost: list = field(default_factory=list)
@@ -144,12 +142,16 @@ class IterationTrace:
     divergence_to_final_bits: list | None = None
 
     @property
+    def steps(self) -> list:
+        """Step indices; every step is recorded, so these are 0, 1, ..., len - 1."""
+        return list(range(len(self)))
+
+    @property
     def lower_bits(self) -> list:
         """Certified lower bounds; each step value is one, so this aliases ``objective_bits``."""
         return self.objective_bits
 
-    def record(self, step, objective, upper, cost, l1, iterate):
-        self.steps.append(step)
+    def record(self, objective, upper, cost, l1, iterate):
         self.objective_bits.append(objective)
         self.upper_bits.append(upper)
         self.expected_cost.append(cost)
@@ -157,7 +159,7 @@ class IterationTrace:
         self.iterates.append(iterate)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.objective_bits)
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,8 @@ class FixedLambdaResult:
     ``[lower_bits, upper_bits]`` is the certified interval for the optimum,
     the best bounds of any step. ``rejected_steps`` counts the extrapolated
     steps that lost ascent and were replaced by the plain update; the run
-    took ``iterations + rejected_steps + 1`` spectra of a mixture.
+    took ``iterations + rejected_steps + 1`` spectra of a mixture, the last
+    a values-only one in ``holevo_quantity``.
     """
 
     probs: InputDistribution
@@ -181,10 +184,10 @@ class FixedLambdaResult:
     rejected_steps: int
 
 
-def make_iteration_state(ch: CqChannel, p, step: int = 0) -> IterationState:
+def make_iteration_state(ch: CqChannel, p) -> IterationState:
     """Bundle a distribution with its mixture's spectrum and per-letter divergences."""
     w = as_probability_vector(p, ch.size)
-    return IterationState(step, w, *_spectral_terms(ch, w))
+    return IterationState(w, *_spectral_terms(ch, w))
 
 
 def _spectral_terms(ch: CqChannel, w: np.ndarray):
@@ -208,22 +211,22 @@ def _spectral_terms(ch: CqChannel, w: np.ndarray):
 
 
 def surrogate_objective(ch: CqChannel, multiplier: float, p, p_prime) -> float:
-    """Two-argument iteration objective, in bits.
+    """Two-argument iteration objective f(p, p'), in bits.
 
-    Requires supp(p) inside supp(p_prime); its diagonal equals the penalized
-    Holevo value and it never exceeds that diagonal for fixed first argument.
+    f(p, p') = sum_x p_x (log p'_x - log p_x + D_x(p')) - penalty(p), with
+    D_x(p') the step's divergences at p'; requires supp(p) inside supp(p').
+    Its maximum over p is the step value log Z(p'), attained at the plain
+    update T(p'). Its diagonal equals the penalized Holevo value where no
+    mixture eigenvalue is raised, and is at most that value otherwise, since
+    raising keeps each divergence below D(rho_x || sigma_p), itself >= 0.
     """
     w = as_probability_vector(p, ch.size)
     ref = as_probability_vector(p_prime, ch.size)
     mask = w > 0
     if np.any(ref[mask] <= 0):
         raise SupportViolation("p puts mass on a letter where p_prime has none")
-    mixture = output_state(ch, ref)
-    log_mix = log_on_support(mixture)
-    cross = np.einsum("xij,ji->x", ch.state_stack[mask], log_mix).real
-    terms = w[mask] * (
-        np.log(ref[mask]) - np.log(w[mask]) - ch.letter_entropies_nats[mask] - cross
-    )
+    div = _spectral_terms(ch, ref)[1]
+    terms = w[mask] * (np.log(ref[mask]) - np.log(w[mask]) + div[mask])
     nats = float(terms.sum()) - multiplier * LN2 * float(ch.costs @ w)
     return nats / LN2
 
@@ -245,7 +248,7 @@ def ba_step(ch: CqChannel, multiplier: float, state: IterationState):
                        - multiplier * LN2 * ch.costs)
     log_norm = _log_partition(log_weights)
     w = np.exp(log_weights - log_norm)
-    return IterationState(state.step + 1, w, *_spectral_terms(ch, w)), log_norm / LN2
+    return IterationState(w, *_spectral_terms(ch, w)), log_norm / LN2
 
 
 def upper_bound(ch: CqChannel, multiplier: float, state: IterationState) -> float:
@@ -333,20 +336,18 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
                     terms = evaluate(new_p)
             else:
                 new_p = np.exp(log_weights - log_z)
-            trace.record(iterations - 1, value_bits, bound_bits, float(ch.costs @ p),
+            trace.record(value_bits, bound_bits, float(ch.costs @ p),
                          float(np.abs(new_p - p).sum()), p)
             p = new_p
             if reason is not None:
                 break
             log_p, div, excess, log_weights, log_z = terms
 
-    final_eigenvalues = _spectral_terms(ch, p)[0]
+    probs = InputDistribution(p)
     expected_cost = float(ch.costs @ p)
-    value = (_holevo_bits(ch, p, _entropy_nats(final_eigenvalues))
-             - config.multiplier * expected_cost)
     result = FixedLambdaResult(
-        probs=InputDistribution(p),
-        value_bits=value,
+        probs=probs,
+        value_bits=holevo_quantity(ch, probs) - config.multiplier * expected_cost,
         lower_bits=lower,
         upper_bits=upper,
         expected_cost=expected_cost,

@@ -311,3 +311,30 @@ class TestChannelFiles:
         doc["states"][0][0][0] = [1.5, 0.0]  # trace now 1.5
         with pytest.raises(Exception):
             channel_from_jsonable(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dim", True),
+        ("dim", 2.0),
+        ("entry", "0.5"),
+        ("entry", True),
+        ("entry", None),
+        ("cost", "0.5"),
+        ("cost", True),
+        ("cost", None),
+    ])
+    def test_values_that_are_not_json_numbers_rejected(self, field, value):
+        # numpy reads True as 1.0 and, with dtype=float, "0.5" as 0.5
+        doc = json.loads(json.dumps(channel_to_jsonable(orthogonal_channel(2, costs=[0.0, 1.0]))))
+        if field == "dim":
+            doc["dim"] = value
+        elif field == "entry":
+            doc["states"][1][0][0][0] = value
+        else:
+            doc["costs"][0] = value
+        with pytest.raises(ValueError):
+            channel_from_jsonable(doc)
+
+    def test_integer_entries_and_costs_load(self):
+        doc = {"dim": 2, "states": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]], "costs": [1]}
+        ch = channel_from_jsonable(doc)
+        assert ch.size == 1 and ch.costs.tolist() == [1.0]

@@ -216,6 +216,17 @@ class TestValidateCommand:
         gap = float(gap_line.split("gap_bits=")[1].split()[0])
         assert gap < 1e-4
 
+    @pytest.mark.parametrize("resolution", ["0", "1", "-5"])
+    def test_grid_below_two_exit_2_before_any_report(self, capsys, tmp_path, resolution):
+        path = tmp_path / "pair.json"
+        save_channel(nonorthogonal_pair_channel(), path)
+        code, out, err = run_cli(
+            capsys, ["validate", "--channel", str(path), "--oracle-grid", resolution]
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "BadParams"
+
     def test_bad_trace_state_exit_2(self, capsys, tmp_path):
         path = tmp_path / "heavy.json"
         doc = {

@@ -64,6 +64,22 @@ class TestSurrogateObjective:
         with pytest.raises(SupportViolation):
             surrogate_objective(ch, 0.0, [0.5, 0.5], [1.0, 0.0])
 
+    def test_maximum_over_p_is_the_step_value(self):
+        # Arimoto's lemma: for fixed p', f(., p') peaks at the plain update
+        # T(p') with value log Z(p')
+        costs = [0.0, 1.0, 0.4, 2.0]
+        channels = [CqChannel(random_channel(4, 3, 71, kind).states, costs)
+                    for kind in ("pure", "mixed", "diagonal")]
+        channels.append(CqChannel(padded(random_channel(4, 3, 72, "pure")).states, costs))
+        rng = np.random.default_rng(73)
+        for ch in channels:
+            for lam in (0.0, 0.7):
+                for p_prime in (np.full(4, 0.25), random_simplex_point(rng, 4),
+                                [0.0, 0.5, 0.2, 0.3]):
+                    updated, value = ba_step(ch, lam, make_iteration_state(ch, p_prime))
+                    assert surrogate_objective(ch, lam, updated.probs, p_prime) == \
+                        pytest.approx(value, abs=1e-12)
+
 
 class TestBaStep:
     def test_single_letter_fixed_point(self):
@@ -255,25 +271,32 @@ class TestSolveFixedLambda:
 
     def test_rejected_steps_count_the_extra_eigh_calls(self, monkeypatch):
         ch = random_channel(4, 3, 5, "mixed")
-        shapes, einsums = [], []
-        eigh, einsum = np.linalg.eigh, np.einsum
+        shapes, values_only, einsums = [], [], []
+        eigh, eigvalsh, einsum = np.linalg.eigh, np.linalg.eigvalsh, np.einsum
 
         def counting_eigh(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return eigh(a, *args, **kwargs)
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            values_only.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
 
         def counting_einsum(*args, **kwargs):
             einsums.append(args[0])
             return einsum(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         monkeypatch.setattr(np, "einsum", counting_einsum)
         res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8))
         monkeypatch.undo()
         assert res.termination is TerminationReason.GAP_REACHED
         assert res.rejected_steps > 0
         assert len(trace) == res.iterations
-        assert len(shapes) == res.iterations + res.rejected_steps + 1
+        assert len(shapes) == res.iterations + res.rejected_steps
+        # the final value is holevo_quantity's one values-only spectrum
+        assert len(values_only) == 1
         # the mixture and the cross terms are GEMVs on the packed stack
         assert einsums == []
 

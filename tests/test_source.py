@@ -53,3 +53,19 @@ def test_oracles_stay_off_the_solver_basis():
             names.add(node.value)
     assert "state_stack" in names
     assert not names & {"support_stack", "_support_stack", "_outside_mass"}
+
+
+def test_solver_has_one_divergence_and_one_holevo_path():
+    # divergences come only from the step kernel on the support stack, and
+    # the final value only from holevo_quantity
+    path = SOURCE_DIR / "solver.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    forbidden = {"state_stack", "output_state", "log_on_support", "_holevo_bits", "einsum"}
+    assert sorted(names & forbidden) == []
