@@ -5,7 +5,8 @@ lambda gives a point below the curve and the weak-duality line
 U(lambda) + lambda * S above it (Blahut's parametric method). The search
 mixes a solved point on each side of the budget to cost exactly S and solves
 next at their chord's slope, until the mixture's Holevo value and the
-smallest dual line meet within epsilon.
+smallest dual line meet within epsilon. The unconstrained capacity is
+C(inf), where the budget cannot bind and the multiplier is zero.
 """
 
 from __future__ import annotations
@@ -64,12 +65,8 @@ def _warm_start(probs: np.ndarray) -> np.ndarray:
 
 def unconstrained_capacity(ch: CqChannel, epsilon: float = 1e-6,
                            max_iter: int = 1_000_000) -> CapacityResult:
-    """Capacity without a cost budget (multiplier fixed at zero)."""
-    config = SolverConfig(multiplier=0.0, epsilon=epsilon, max_iter=max_iter)
-    res, trace = solve_fixed_lambda(ch, config)
-    # at multiplier zero the solver's value is the Holevo value of its distribution
-    return _capacity_result(ch, res.probs.probs, res.value_bits, res.upper_bits, 0.0, False,
-                            [(0.0, res.expected_cost)], res.termination, trace)
+    """Capacity without a cost budget: the budgeted capacity at an infinite budget."""
+    return constrained_capacity(ch, math.inf, epsilon, max_iter)
 
 
 def _capacity_result(ch, probs, lower, upper, multiplier, active, evaluations, termination,
@@ -98,7 +95,9 @@ def constrained_capacity(ch: CqChannel, cost_limit: float, epsilon: float = 1e-6
     search starts from the cheapest letters' own capacity and the
     multiplier-zero optimizer, and ends when its certificate closes within
     ``epsilon``, when the chord slope repeats a solved multiplier, or after
-    ``MAX_CHORD_SOLVES`` chord solves. Inner solves run at ``epsilon / 2``.
+    ``MAX_CHORD_SOLVES`` chord solves. Inner solves run at ``epsilon / 2``,
+    except that a budget that cannot bind takes one multiplier-zero solve at
+    ``epsilon``, whose certificate is the whole answer.
     """
     if math.isnan(cost_limit):
         raise BadParams("budget must be a number or inf, got nan")
@@ -107,12 +106,14 @@ def constrained_capacity(ch: CqChannel, cost_limit: float, epsilon: float = 1e-6
         raise InfeasibleCost(
             f"budget {cost_limit!r} below the cheapest letter cost {min_cost!r}"
         )
-    # a budget above the costliest letter binds nothing; capping it keeps it finite
+    # a budget at or above the costliest letter binds nothing; capping it keeps it finite
+    inactive = cost_limit >= max_cost
     cost_limit = min(cost_limit, max_cost)
+    inner_epsilon = epsilon if inactive else epsilon / 2.0
     evaluations, duals = [], []
 
     def solve(multiplier, start=None):
-        config = SolverConfig(multiplier=multiplier, epsilon=epsilon / 2.0,
+        config = SolverConfig(multiplier=multiplier, epsilon=inner_epsilon,
                               max_iter=max_iter)
         res, trace = solve_fixed_lambda(ch, config, initial=start)
         evaluations.append((multiplier, res.expected_cost))
@@ -122,7 +123,8 @@ def constrained_capacity(ch: CqChannel, cost_limit: float, epsilon: float = 1e-6
         return res, trace, (res.expected_cost, chi, res.probs.probs)
 
     res, trace, above = solve(0.0)
-    if res.expected_cost <= cost_limit or cost_limit >= max_cost:
+    if res.expected_cost <= cost_limit or inactive:
+        # at multiplier zero the solver's value is the Holevo value of its distribution
         return _capacity_result(ch, res.probs.probs, res.value_bits, res.upper_bits, 0.0,
                                 False, evaluations, res.termination, trace)
 
@@ -131,7 +133,7 @@ def constrained_capacity(ch: CqChannel, cost_limit: float, epsilon: float = 1e-6
     cheapest = np.flatnonzero(ch.costs == min_cost)
     res, trace = solve_fixed_lambda(
         CqChannel([ch.states[x] for x in cheapest], ch.costs[cheapest]),
-        SolverConfig(epsilon=epsilon / 2.0, max_iter=max_iter))
+        SolverConfig(epsilon=inner_epsilon, max_iter=max_iter))
     evaluations.append((math.inf, min_cost))
     lifted = np.zeros(ch.size)
     lifted[cheapest] = res.probs.probs

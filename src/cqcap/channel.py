@@ -91,12 +91,16 @@ def kl_divergence_bits(p: np.ndarray, q: np.ndarray) -> float:
 class CqChannel:
     """Finite input alphabet mapped to output states, with a per-letter cost.
 
-    Construction also fixes the basis the solver works in: the eigenvectors
-    of sum_x rho_x whose eigenvalues exceed ``EIGENVALUE_REL`` times the
-    largest, an isometry V onto the joint support of the states, of
-    dimension d. ``support_stack`` holds every V^H rho_x V. The discarded
-    eigenvalues sum to a bound on any one state's weight outside V, since
-    each state lies below the sum.
+    Construction also fixes the basis that every evaluation of a
+    distribution works in: the eigenvectors of sum_x rho_x whose eigenvalues
+    exceed ``EIGENVALUE_REL`` times the largest, an isometry V onto the
+    joint support of the states, of dimension d. ``support_stack`` holds
+    every V^H rho_x V, so an evaluation costs d^3 rather than m^3. Each
+    state lies below the sum, so its weight l_x outside V is at most eta,
+    the discarded eigenvalue mass (``_outside_mass``). That weight is of the
+    order of the cutoff that validation already clamps (rounding, for states
+    exactly inside a proper subspace). When d = m, eta is zero and the
+    evaluation is the uncompressed one, bit for bit.
     """
 
     def __init__(self, states, costs=None):
@@ -179,7 +183,10 @@ class CqChannel:
 
         Row x holds the entries of V^H rho_x V row-major, each as its real
         part followed by its imaginary part, so sums over x and real dot
-        products with a packed d x d matrix are plain real GEMVs.
+        products with a packed d x d matrix are plain real GEMVs. For
+        Hermitian rho and L, Tr(rho L) = sum_ij rho_ij conj(L_ij) is real, so
+        it equals sum_ij (Re rho_ij Re L_ij + Im rho_ij Im L_ij): the real dot
+        product of the two packed rows.
         """
         stack = self._support_stack
         return stack.reshape(stack.shape[0], -1).view(np.float64)
@@ -220,6 +227,35 @@ def _support_mixture(ch: CqChannel, w: np.ndarray) -> np.ndarray:
     """The d x d mixture sum_x w_x V^H rho_x V, as one real GEMV on the packed stack."""
     d = ch.support_stack.shape[1]
     return (w @ ch._packed_support).view(np.complex128).reshape(d, d)
+
+
+def _spectral_terms(ch: CqChannel, w: np.ndarray):
+    """The solver step's kernel: the mixture's spectrum, the divergences and the excess.
+
+    Returns the eigenvalues of the support-basis mixture sigma (ascending,
+    before raising), the divergences against tau', sigma with its
+    eigenvalues raised to the cutoff c (nats), and the upper bound's excess
+    (nats); the ``cqcap.solver`` docstring says why they certify. The excess
+    also charges for the support basis. With delta the trace the raising
+    added, T = V tau' V^H + c (1 - V V^H) is block diagonal, so
+    Tr(rho_x log T) = Tr(V^H rho_x V log tau') + l_x log c exactly, and
+    Tr T <= 1 + delta + (m - d) c. So the upper bound takes the compressed
+    divergences and adds log(1 + delta + (m - d) c) - eta log c, which makes
+    it at least the bound of the state T / Tr T. When the states lie inside
+    V, T >= V sigma V^H and the compressed divergences are those against T,
+    so the step value stays a lower bound.
+    """
+    # w is a simplex vector the caller vouches for, so the mixture of validated
+    # states is Hermitian with unit trace and needs only its spectrum
+    evals, evecs = np.linalg.eigh(_support_mixture(ch, w))
+    floor = EIGENVALUE_REL * float(evals.max())
+    raised = np.maximum(evals, floor)
+    log_tau = (evecs * np.log(raised)) @ evecs.conj().T
+    cross = ch._packed_support @ log_tau.reshape(-1).view(np.float64)
+    div = np.maximum(-ch.letter_entropies_nats - cross, 0.0)
+    added = float((raised - evals).sum()) + (ch.dim - evals.size) * floor
+    excess = math.log1p(added) - ch._outside_mass * math.log(floor)
+    return evals, div, excess
 
 
 @dataclass(frozen=True)

@@ -26,16 +26,8 @@ from .channel import (
     random_channel,
     save_channel,
 )
-from .errors import (
-    BadParams,
-    BadTrace,
-    CqcapError,
-    DimensionMismatch,
-    LengthMismatch,
-    NotHermitian,
-    NotPSD,
-)
-from .oracle import DEFAULT_GRID_RESOLUTION, GridSpec, grid_capacity
+from .errors import BadParams, CqcapError
+from .oracle import DEFAULT_GRID_RESOLUTION, MAX_GRID_ALPHABET, GridSpec, grid_capacity
 from .solver import IterationTrace
 
 EXIT_OK = 0
@@ -43,16 +35,9 @@ EXIT_PARSE = 2
 EXIT_SOLVER = 3
 EXIT_ORACLE = 4
 
-PARSE_ERRORS = (
-    OSError,
-    ValueError,
-    BadParams,
-    BadTrace,
-    DimensionMismatch,
-    LengthMismatch,
-    NotHermitian,
-    NotPSD,
-)
+# the phase decides the exit code: any error before a command's solve starts
+# is a file, parse or parameter error
+PARSE_ERRORS = (OSError, ValueError, CqcapError)
 
 
 def _format_float(x: float) -> str:
@@ -135,13 +120,11 @@ def cmd_capacity(args) -> int:
     except PARSE_ERRORS as exc:
         _emit_error(exc)
         return EXIT_PARSE
+    # no budget is an infinite one
+    budget = math.inf if args.cost_limit is None else args.cost_limit
     started = time.perf_counter()
     try:
-        if args.cost_limit is None:
-            result = unconstrained_capacity(channel, epsilon=args.eps, max_iter=args.max_iter)
-        else:
-            result = constrained_capacity(channel, args.cost_limit,
-                                          epsilon=args.eps, max_iter=args.max_iter)
+        result = constrained_capacity(channel, budget, epsilon=args.eps, max_iter=args.max_iter)
     except CqcapError as exc:
         _emit_error(exc)
         return EXIT_SOLVER
@@ -172,6 +155,12 @@ def cmd_validate(args) -> int:
         if args.oracle_grid is not None and args.oracle_grid < 2:
             raise BadParams(f"--oracle-grid must be at least 2, got {args.oracle_grid!r}")
         channel, digest = _load(args.channel)
+        # the oracle runs first, so that a grid over its size limit is a
+        # parameter error before any solve
+        grid = None
+        if channel.size <= MAX_GRID_ALPHABET:
+            resolution = args.oracle_grid or DEFAULT_GRID_RESOLUTION[channel.size]
+            grid = grid_capacity(channel, GridSpec(resolution))
     except PARSE_ERRORS as exc:
         _emit_error(exc)
         return EXIT_PARSE
@@ -182,12 +171,8 @@ def cmd_validate(args) -> int:
         f"independent: {str(report.independent).lower()} "
         f"min_gram_eigenvalue={_format_float(report.min_gram_eigenvalue)}"
     )
-    if channel.size <= 4:
-        resolution = args.oracle_grid
-        if resolution is None:
-            resolution = DEFAULT_GRID_RESOLUTION[channel.size]
+    if grid is not None:
         solved = unconstrained_capacity(channel)
-        grid = grid_capacity(channel, GridSpec(resolution))
         gap = abs(solved.capacity_bits - grid.value_bits)
         lower, upper = solved.gap_certificate_bits
         print(

@@ -15,10 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CqChannel, InputDistribution
-from .errors import AlphabetTooLarge, NoFeasibleGridPoint, NotStochastic
+from .errors import AlphabetTooLarge, BadParams, NoFeasibleGridPoint, NotStochastic
 from .hermitian import LN2
 
 MAX_GRID_ALPHABET = 4
+# twice the largest grid the default resolutions or the tests build (3 letters
+# at resolution 500); resolution 1000 fits 2 letters only
+MAX_GRID_POINTS = 250_000
 DEFAULT_GRID_RESOLUTION = {1: 2, 2: 1000, 3: 200, 4: 60}
 
 
@@ -66,13 +69,15 @@ def _simplex_grid(n: int, k: int) -> np.ndarray:
 
 
 def _batched_holevo_bits(ch: CqChannel, points: np.ndarray) -> np.ndarray:
-    mixtures = np.einsum("pn,nij->pij", points, ch.state_stack)
-    eigs = np.linalg.eigvalsh(mixtures)
-    eigs = np.clip(eigs, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(eigs > 1e-15, eigs * np.log(eigs), 0.0)
-    mixture_entropy = -terms.sum(axis=1)
-    chi_nats = mixture_entropy - points @ ch.letter_entropies_nats
+    entropies = []
+    # a thousand or so mixtures at a time, so that their memory does not grow with the grid
+    for chunk in np.array_split(points, max(1, points.shape[0] // 1024)):
+        eigs = np.linalg.eigvalsh(np.einsum("pn,nij->pij", chunk, ch.state_stack))
+        eigs = np.clip(eigs, 0.0, None)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(eigs > 1e-15, eigs * np.log(eigs), 0.0)
+        entropies.append(-terms.sum(axis=1))
+    chi_nats = np.concatenate(entropies) - points @ ch.letter_entropies_nats
     return np.maximum(chi_nats, 0.0) / LN2
 
 
@@ -81,10 +86,16 @@ def grid_capacity(ch: CqChannel, spec: GridSpec, cost_limit: float | None = None
 
     Evaluates the Holevo quantity (minus the cost penalty in fixed-multiplier
     mode) on every grid point, skipping points over ``cost_limit`` when given.
+    A grid of more than ``MAX_GRID_POINTS`` points is refused before any is
+    built.
     """
     n = ch.size
     if n > MAX_GRID_ALPHABET:
         raise AlphabetTooLarge(f"grid search supports n <= {MAX_GRID_ALPHABET}, got {n}")
+    count = math.comb(spec.resolution + n - 1, n - 1)
+    if count > MAX_GRID_POINTS:
+        raise BadParams(f"a {n}-letter grid at resolution {spec.resolution} has {count} "
+                        f"points, over the limit of {MAX_GRID_POINTS}")
     points = _simplex_grid(n, spec.resolution)
     if cost_limit is not None:
         feasible = points @ ch.costs <= cost_limit + 1e-12

@@ -15,32 +15,11 @@ min-max formula any state's max_x D(rho_x || tau) - penalty_x bounds the
 optimum from above; that is the largest divergence plus log(1 + delta).
 Every bound is finite, at any distribution, zero-mass letters included.
 
-Every step works in the channel's joint-support basis: the d x d blocks
-V^H rho_x V of ``CqChannel.support_stack``, with d = rank(sum_x rho_x), so
-a step costs d^3 rather than m^3. Each state's weight l_x outside V is at
-most eta, the discarded eigenvalue mass of sum_x rho_x. With c the raised
-cutoff, T = V tau' V^H + c (1 - V V^H) is block diagonal, so
-Tr(rho_x log T) = Tr(V^H rho_x V log tau') + l_x log c exactly, and
-Tr T <= 1 + delta + (m - d) c. So the upper bound takes the compressed
-divergences and adds log(1 + delta + (m - d) c) - eta log c, which makes it
-at least the bound of the state T / Tr T. When the states lie inside V,
-T >= sigma_p and the compressed divergences are those against T, so the
-step value stays a lower bound. Any state's weight outside V is at most
-eta, of the order of the cutoff that validation already clamps (rounding,
-for states exactly inside a proper subspace). When d = m, eta is zero and
-the step is the uncompressed one, bit for bit.
-
-A step reads the (n, d, d) complex ``support_stack`` without a copy as an
-(n, 2 d^2) real array, each entry's real and imaginary parts side by side
-(``CqChannel._packed_support``), and does its two contractions as real
-matrix-vector products on it: the mixture is w @ packed, read back as a
-d x d complex matrix, and the cross terms are packed @ vec(log tau'), the
-log packed the same way. For Hermitian rho and L,
-Tr(rho L) = sum_ij rho_ij L_ji = sum_ij rho_ij conj(L_ij) is real, so it
-equals the real part sum_ij (Re rho_ij Re L_ij + Im rho_ij Im L_ij): the
-real dot product of the two packed rows. That kernel, ``_spectral_terms``,
-is the only evaluation of a state: the solve loop keeps each state as plain
-arrays, and ``make_iteration_state``, ``ba_step``, ``upper_bound`` and
+Every evaluation of a distribution is the channel's step kernel
+``_spectral_terms``, which works in the channel's joint-support basis and
+adds the charge for the states' weight outside it to the excess (see
+``cqcap.channel``). The solve loop keeps each state as plain arrays, and
+``make_iteration_state``, ``ba_step``, ``upper_bound`` and
 ``surrogate_objective`` wrap the same kernel, so they reproduce the loop's
 bounds and step values bit for bit. The one Holevo value a solve reports is
 ``holevo_quantity`` at the returned distribution, a values-only spectrum.
@@ -71,13 +50,13 @@ import numpy as np
 from .channel import (
     CqChannel,
     InputDistribution,
-    _support_mixture,
+    _spectral_terms,
     as_probability_vector,
     holevo_quantity,
     kl_divergence_bits,
 )
 from .errors import EmptyTrace, SupportViolation
-from .hermitian import EIGENVALUE_REL, LN2
+from .hermitian import LN2
 
 STALL_TOL_BITS = 1e-14
 STALL_WINDOW = 50
@@ -106,8 +85,9 @@ class SolverConfig:
     max_iter: int = 1_000_000
 
     def __post_init__(self):
-        if self.multiplier < 0:
-            raise ValueError("multiplier must be nonnegative")
+        # a nan fails every comparison, so it fails this one too
+        if not 0 <= self.multiplier < math.inf:
+            raise ValueError(f"multiplier must be finite and nonnegative, got {self.multiplier!r}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 1:
@@ -188,26 +168,6 @@ def make_iteration_state(ch: CqChannel, p) -> IterationState:
     """Bundle a distribution with its mixture's spectrum and per-letter divergences."""
     w = as_probability_vector(p, ch.size)
     return IterationState(w, *_spectral_terms(ch, w))
-
-
-def _spectral_terms(ch: CqChannel, w: np.ndarray):
-    """The step's kernel: the mixture's spectrum, the divergences and the excess.
-
-    Returns the mixture's eigenvalues in the support basis (ascending, before
-    raising), the divergences against the raised mixture (nats) and the
-    upper bound's excess (nats); see ``IterationState``.
-    """
-    # w is a simplex vector the caller vouches for, so the mixture of validated
-    # states is Hermitian with unit trace and needs only its spectrum
-    evals, evecs = np.linalg.eigh(_support_mixture(ch, w))
-    floor = EIGENVALUE_REL * float(evals.max())
-    raised = np.maximum(evals, floor)
-    log_tau = (evecs * np.log(raised)) @ evecs.conj().T
-    cross = ch._packed_support @ log_tau.reshape(-1).view(np.float64)
-    div = np.maximum(-ch.letter_entropies_nats - cross, 0.0)
-    added = float((raised - evals).sum()) + (ch.dim - evals.size) * floor
-    excess = math.log1p(added) - ch._outside_mass * math.log(floor)
-    return evals, div, excess
 
 
 def surrogate_objective(ch: CqChannel, multiplier: float, p, p_prime) -> float:

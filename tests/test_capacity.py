@@ -268,3 +268,42 @@ class TestPureStateBudgets:
         lower, upper = result.gap_certificate_bits
         assert upper - lower <= 1e-6
         assert result.expected_cost <= budget + 1e-12
+
+
+class TestUnconstrainedIsInfiniteBudget:
+    @staticmethod
+    def channels():
+        for kind in ("pure", "mixed", "diagonal"):
+            yield CqChannel(random_channel(4, 3, 61, kind).states, [0.3, 1.0, 0.4, 2.0])
+
+    def test_budgets_that_cannot_bind_match_field_by_field(self):
+        for ch in self.channels():
+            free = unconstrained_capacity(ch)
+            for budget in (float(ch.costs.max()), 10.0, math.inf):
+                loose = constrained_capacity(ch, budget)
+                assert loose.capacity_bits == free.capacity_bits
+                assert loose.gap_certificate_bits == free.gap_certificate_bits
+                assert np.array_equal(loose.probs.probs, free.probs.probs)
+                assert loose.evaluations == free.evaluations
+                assert loose.termination is free.termination
+                assert len(loose.trace) == len(free.trace)
+
+    def test_only_an_active_budget_halves_the_inner_epsilon(self, monkeypatch):
+        seen = []
+        solve = cqcap.capacity.solve_fixed_lambda
+        monkeypatch.setattr(cqcap.capacity, "solve_fixed_lambda",
+                            lambda ch, config, **kw: seen.append(config.epsilon)
+                            or solve(ch, config, **kw))
+        eps = 1e-5
+        for ch in self.channels():
+            for budget in (float(ch.costs.max()), 10.0, math.inf):
+                seen.clear()
+                constrained_capacity(ch, budget, epsilon=eps)
+                assert seen == [eps]
+            seen.clear()
+            unconstrained_capacity(ch, epsilon=eps)
+            assert seen == [eps]
+            seen.clear()
+            result = constrained_capacity(ch, 0.5, epsilon=eps)
+            assert result.constraint_active
+            assert seen and set(seen) == {eps / 2}

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cqcap
-from cqcap import save_channel
+from cqcap import CqChannel, random_channel, save_channel
 from cqcap.cli import main
 from helpers import BUDGET_CAPACITY, nonorthogonal_pair_channel, orthogonal_channel
 
@@ -148,7 +148,7 @@ class TestCapacityCommand:
         def fail(*args, **kwargs):
             raise SupportViolation("mass outside the reference support")
 
-        monkeypatch.setattr(cli, "unconstrained_capacity", fail)
+        monkeypatch.setattr(cli, "constrained_capacity", fail)
         code, _, err = run_cli(capsys, ["capacity", "--channel", orth_file])
         assert code == 3
         assert json.loads(err)["error"] == "SupportViolation"
@@ -237,3 +237,30 @@ class TestValidateCommand:
         code, _, err = run_cli(capsys, ["validate", "--channel", str(path)])
         assert code == 2
         assert json.loads(err)["error"] == "BadTrace"
+
+
+class TestOneLibraryCall:
+    def test_missing_budget_is_an_infinite_one(self, capsys, tmp_path):
+        path = tmp_path / "costly.json"
+        save_channel(CqChannel(random_channel(3, 2, 41, "mixed").states, [0.2, 0.9, 0.5]), path)
+        reports = []
+        for flags in ([], ["--cost-limit", "inf"]):
+            code, out, _ = run_cli(capsys, ["capacity", "--channel", str(path)] + flags)
+            assert code == 0
+            reports.append(json.loads(out))
+        assert reports[0]["result"] == reports[1]["result"]
+        assert reports[0]["config"]["cost_limit"] is None
+        assert reports[1]["config"]["cost_limit"] == math.inf
+
+
+class TestGridLimit:
+    def test_oversized_grid_exit_2_before_any_solve(self, capsys, tmp_path):
+        path = tmp_path / "four.json"
+        save_channel(random_channel(4, 2, 5, "mixed"), path)
+        code, out, err = run_cli(
+            capsys, ["validate", "--channel", str(path), "--oracle-grid", "1000"]
+        )
+        assert code == 2
+        assert "solver_bits" not in out
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "BadParams"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cqcap.oracle
 from cqcap import (
     CqChannel,
     GridSpec,
@@ -12,7 +13,7 @@ from cqcap import (
     random_channel,
     solve_fixed_lambda,
 )
-from cqcap.errors import AlphabetTooLarge, NoFeasibleGridPoint, NotStochastic
+from cqcap.errors import AlphabetTooLarge, BadParams, NoFeasibleGridPoint, NotStochastic
 from helpers import (
     BSC_CAPACITY,
     NONORTH_PAIR_CAPACITY,
@@ -99,3 +100,23 @@ class TestCrossChecks:
             oracle = grid_capacity(ch, GridSpec(500))
             assert oracle.value_bits <= res.upper_bits + 1e-10
             assert res.lower_bits <= oracle.value_bits + oracle.slack_bits
+
+
+class TestGridLimit:
+    def test_oversized_grid_refused_before_it_is_built(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(cqcap.oracle, "_simplex_grid", unexpected)
+        with pytest.raises(BadParams):
+            grid_capacity(random_channel(4, 2, 5, "mixed"), GridSpec(1000))
+        with pytest.raises(BadParams):
+            grid_capacity(random_channel(3, 2, 5, "mixed"), GridSpec(1000))
+
+    def test_values_agree_across_chunk_boundaries(self):
+        ch = random_channel(3, 3, 12, "mixed")
+        points = cqcap.oracle._simplex_grid(3, 100)
+        values = cqcap.oracle._batched_holevo_bits(ch, points)
+        assert values.shape == (points.shape[0],)
+        for i in range(0, points.shape[0], 257):
+            assert values[i] == pytest.approx(holevo_quantity(ch, points[i]), abs=1e-10)

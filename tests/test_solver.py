@@ -612,3 +612,10 @@ class TestRateDiagnostics:
 
         with pytest.raises(EmptyTrace):
             rate_diagnostics(IterationTrace(), [1.0])
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("multiplier", [math.nan, math.inf, -1.0])
+    def test_rejects_a_multiplier_that_is_not_finite_and_nonnegative(self, multiplier):
+        with pytest.raises(ValueError, match="multiplier"):
+            SolverConfig(multiplier=multiplier)

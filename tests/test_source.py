@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import cqcap
+import cqcap.solver
 from cqcap import errors
 
 SOURCE_DIR = Path(cqcap.__file__).resolve().parent
@@ -69,3 +70,25 @@ def test_solver_has_one_divergence_and_one_holevo_path():
             names.add(node.name)
     forbidden = {"state_stack", "output_state", "log_on_support", "_holevo_bits", "einsum"}
     assert sorted(names & forbidden) == []
+
+
+def _names(path):
+    """Every attribute, name and imported name the module mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_solver_leaves_the_support_layout_to_the_channel():
+    # the step kernel lives in channel.py; the solver takes no spectrum and
+    # reads no private field of a channel itself
+    assert cqcap.solver._spectral_terms.__module__ == "cqcap.channel"
+    forbidden = {"eigh", "eigvalsh", "_packed_support", "_outside_mass", "_support_mixture",
+                 "support_stack", "EIGENVALUE_REL"}
+    assert sorted(_names(SOURCE_DIR / "solver.py") & forbidden) == []
