@@ -301,11 +301,8 @@ def random_channel(n: int, m: int, seed, kind: str = "pure") -> CqChannel:
 
 def channel_to_jsonable(ch: CqChannel) -> dict:
     """Channel as a plain dict in the channel file schema."""
-    states = [
-        [[[float(entry.real), float(entry.imag)] for entry in row] for row in s.matrix]
-        for s in ch.states
-    ]
-    doc = {"dim": ch.dim, "states": states}
+    st = ch.state_stack
+    doc = {"dim": ch.dim, "states": np.stack([st.real, st.imag], axis=-1).tolist()}
     if np.any(ch.costs != 0.0):
         doc["costs"] = [float(c) for c in ch.costs]
     return doc

@@ -19,7 +19,6 @@ move by at most 2 m * cutoff * L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,47 +34,35 @@ EIGENVALUE_REL = 1e-12  # support cutoff, relative to the largest eigenvalue
 SUPPORT_TOL = 1e-10     # mass tolerated outside another state's support
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Real eigenvalues in descending order, and the rank.
-
-    The matching orthonormal eigenvectors are computed from ``matrix`` on
-    first use, so states that only need their entropy never pay for them.
-    Spectra compare and hash by identity, as ``DensityMatrix`` does: an
-    elementwise comparison of the arrays has no single truth value.
-    """
-
-    eigenvalues: np.ndarray
-    rank: int
-    matrix: np.ndarray = field(repr=False)
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        v = np.linalg.eigh(self.matrix)[1][:, ::-1].copy()
-        v.setflags(write=False)
-        return v
-
-
 class DensityMatrix:
-    """Hermitian, positive semi-definite, unit-trace operator with cached spectral data.
+    """Hermitian, positive semi-definite, unit-trace operator and its spectrum.
 
     Instances are immutable and safe to share between threads; build them
-    through :func:`validate_density`. The eigenvalues are computed at
-    construction; eigenvectors, the log and the kernel projector once, on
-    first use.
+    through :func:`validate_density`. The matrix and its clamped eigenvalues,
+    in descending order, are fixed at construction. The matching orthonormal
+    eigenvectors are computed once, on first use, so states that only need
+    their entropy never pay for them. States compare and hash by identity:
+    an elementwise comparison of the arrays has no single truth value.
     """
 
-    def __init__(self, matrix: np.ndarray, spectrum: Spectrum):
+    def __init__(self, matrix: np.ndarray, eigenvalues: np.ndarray):
         self._matrix = matrix
-        self._spectrum = spectrum
+        self._eigenvalues = eigenvalues
 
     @property
     def matrix(self) -> np.ndarray:
         return self._matrix
 
     @property
-    def spectrum(self) -> Spectrum:
-        return self._spectrum
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigenvalues
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Orthonormal columns matching ``eigenvalues``; the kernel's come last."""
+        v = np.linalg.eigh(self._matrix)[1][:, ::-1].copy()
+        v.setflags(write=False)
+        return v
 
     @property
     def dim(self) -> int:
@@ -83,31 +70,12 @@ class DensityMatrix:
 
     @property
     def rank(self) -> int:
-        return self._spectrum.rank
+        return int(np.count_nonzero(self._eigenvalues))
 
     @cached_property
     def entropy_nats(self) -> float:
         """Spectral entropy -sum(w log w) over the support, natural log."""
-        return _entropy_nats(self._spectrum.eigenvalues)
-
-    @cached_property
-    def _log_support(self) -> np.ndarray:
-        w = self._spectrum.eigenvalues[: self.rank]
-        v = self._spectrum.eigenvectors[:, : self.rank]
-        out = (v * np.log(w)) @ v.conj().T
-        out = 0.5 * (out + out.conj().T)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def _kernel_projector(self) -> np.ndarray | None:
-        if self.rank == self.dim:
-            return None
-        v = self._spectrum.eigenvectors[:, self.rank:]
-        proj = v @ v.conj().T
-        proj = 0.5 * (proj + proj.conj().T)
-        proj.setflags(write=False)
-        return proj
+        return _entropy_nats(self._eigenvalues)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim}, rank={self.rank})"
@@ -117,10 +85,10 @@ def validate_density(raw) -> DensityMatrix:
     """Check and normalize a raw matrix into a :class:`DensityMatrix`.
 
     The input is symmetrized and its eigenvalues are computed. Eigenvalues in
-    ``(-cutoff, cutoff]`` are clamped to zero in the spectrum, which is then
-    renormalized, and the matrix is divided by its trace; the cutoff is
-    ``EIGENVALUE_REL`` times the largest eigenvalue. Larger negativity,
-    asymmetry, or trace deviation raise instead of being repaired.
+    ``(-cutoff, cutoff]`` are clamped to zero and the rest renormalized, and
+    the matrix is divided by its trace; the cutoff is ``EIGENVALUE_REL``
+    times the largest eigenvalue. Larger negativity, asymmetry, or trace
+    deviation raise instead of being repaired.
     """
     return _validate_stack(np.asarray(raw, dtype=np.complex128)[None])[1][0]
 
@@ -160,12 +128,9 @@ def _validate_stack(a: np.ndarray) -> tuple[np.ndarray, list[DensityMatrix]]:
     if repair.any():
         clamped[repair] /= clamped[repair].sum(axis=1, keepdims=True)
         herm[repair] /= trace[repair, None, None]
-
-    rank = np.count_nonzero(clamped > 0.0, axis=1)
     for arr in (herm, clamped):
         arr.setflags(write=False)
-    return herm, [DensityMatrix(herm[k], Spectrum(clamped[k], int(rank[k]), herm[k]))
-                  for k in range(a.shape[0])]
+    return herm, [DensityMatrix(herm[k], clamped[k]) for k in range(a.shape[0])]
 
 
 def _entropy_nats(eigenvalues: np.ndarray) -> float:
@@ -190,24 +155,23 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def log_on_support(rho: DensityMatrix) -> np.ndarray:
     """Matrix logarithm restricted to the support (natural log; kernel zeroed)."""
-    return rho._log_support
-
-
-def kernel_projector(rho: DensityMatrix) -> np.ndarray | None:
-    """Orthogonal projector onto the kernel, or None for full-rank states."""
-    return rho._kernel_projector
+    r = rho.rank
+    v = rho.eigenvectors[:, :r]
+    out = (v * np.log(rho.eigenvalues[:r])) @ v.conj().T
+    return 0.5 * (out + out.conj().T)
 
 
 def relative_entropy_nats(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr[rho (log rho - log sigma)] in nats; +inf if rho leaks outside supp(sigma)."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    proj = kernel_projector(sigma)
-    if proj is not None:
-        leakage = trace_product(rho.matrix, proj).real
-        if leakage > SUPPORT_TOL:
-            return math.inf
-    cross = trace_product(rho.matrix, log_on_support(sigma)).real
+    # rho's diagonal in sigma's eigenbasis, diag(V^H rho V): real for Hermitian rho
+    v = sigma.eigenvectors
+    weights = ((rho.matrix @ v) * v.conj()).sum(axis=0).real
+    r = sigma.rank
+    if float(weights[r:].sum()) > SUPPORT_TOL:
+        return math.inf
+    cross = float(weights[:r] @ np.log(sigma.eigenvalues[:r]))
     # mathematically >= 0 for unit-trace PSD inputs; clamp rounding dust
     return max(0.0, -rho.entropy_nats - cross)
 

@@ -20,9 +20,11 @@ Every evaluation of a distribution is the channel's step kernel
 adds the charge for the states' weight outside it to the excess (see
 ``cqcap.channel``). The solve loop keeps each state as plain arrays, and
 ``make_iteration_state``, ``ba_step``, ``upper_bound`` and
-``surrogate_objective`` wrap the same kernel, so they reproduce the loop's
-bounds and step values bit for bit. The one Holevo value a solve reports is
-``holevo_quantity`` at the returned distribution, a values-only spectrum.
+``surrogate_objective`` wrap the same kernel; ``ba_step`` and
+``upper_bound`` also share the loop's log-weight and bound helpers, so they
+reproduce the loop's bounds and step values bit for bit. The one Holevo
+value a solve reports is ``holevo_quantity`` at the returned distribution, a
+values-only spectrum.
 
 The solver steps further than the plain update T when that keeps the
 ascent. From a state s with step value log Z(s) it proposes the
@@ -191,10 +193,20 @@ def surrogate_objective(ch: CqChannel, multiplier: float, p, p_prime) -> float:
     return nats / LN2
 
 
+def _log_weights(log_p: np.ndarray, div: np.ndarray, penalty_nats: np.ndarray) -> np.ndarray:
+    """The plain update's log-weights log p + D - penalty."""
+    return log_p + div - penalty_nats
+
+
 def _log_partition(log_weights: np.ndarray) -> float:
-    """log Z, the log-sum-exp of the plain update's log-weights log p + D - penalty."""
+    """log Z, the log-sum-exp of the plain update's log-weights."""
     top = float(log_weights.max())
     return top + math.log(float(np.exp(log_weights - top).sum()))
+
+
+def _upper_bits(div: np.ndarray, excess: float, penalty_nats: np.ndarray) -> float:
+    """The upper bound max_x (D_x - penalty_x) + excess, in bits."""
+    return (float((div - penalty_nats).max()) + excess) / LN2
 
 
 def ba_step(ch: CqChannel, multiplier: float, state: IterationState):
@@ -204,8 +216,8 @@ def ba_step(ch: CqChannel, multiplier: float, state: IterationState):
     bound on the penalized optimum at any distribution.
     """
     with np.errstate(divide="ignore"):
-        log_weights = (np.log(state.probs) + state.divergences_nats
-                       - multiplier * LN2 * ch.costs)
+        log_weights = _log_weights(np.log(state.probs), state.divergences_nats,
+                                   multiplier * LN2 * ch.costs)
     log_norm = _log_partition(log_weights)
     w = np.exp(log_weights - log_norm)
     return IterationState(w, *_spectral_terms(ch, w)), log_norm / LN2
@@ -217,8 +229,7 @@ def upper_bound(ch: CqChannel, multiplier: float, state: IterationState) -> floa
     Valid and finite at every iterate: the optimum of the penalized Holevo
     value never exceeds it.
     """
-    penalized = state.divergences_nats - multiplier * LN2 * ch.costs
-    return (float(penalized.max()) + state.excess_nats) / LN2
+    return _upper_bits(state.divergences_nats, state.excess_nats, multiplier * LN2 * ch.costs)
 
 
 def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
@@ -250,7 +261,7 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         # the plain update's log-weights and log Z
         _, div, excess = _spectral_terms(ch, w)
         log_w = np.log(w)
-        log_weights = log_w + div - penalty_nats
+        log_weights = _log_weights(log_w, div, penalty_nats)
         return log_w, div, excess, log_weights, _log_partition(log_weights)
 
     gamma = 1.0
@@ -262,7 +273,7 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
     with np.errstate(divide="ignore"):
         log_p, div, excess, log_weights, log_z = evaluate(p)
         while True:
-            bound_bits = (float((div - penalty_nats).max()) + excess) / LN2
+            bound_bits = _upper_bits(div, excess, penalty_nats)
             value_bits = log_z / LN2
             iterations += 1
             moved = (value_bits - lower >= STALL_TOL_BITS

@@ -40,6 +40,12 @@ def random_density_matrix(rng, m: int):
     return validate_density(w / float(np.trace(w).real))
 
 
+def kernel_projector(rho) -> np.ndarray:
+    """Orthogonal projector onto a validated state's kernel (zero for full rank)."""
+    v = rho.eigenvectors[:, rho.rank:]
+    return v @ v.conj().T
+
+
 def random_simplex_point(rng, n: int, floor: float = 0.0) -> np.ndarray:
     p = rng.random(n) + floor
     return p / p.sum()

@@ -30,10 +30,10 @@ from cqcap.errors import (
     NotHermitian,
     NotPSD,
 )
-from cqcap.hermitian import kernel_projector
 from helpers import (
     NONORTH_PAIR_CAPACITY,
     binary_entropy_bits,
+    kernel_projector,
     nonorthogonal_pair_channel,
     orthogonal_channel,
     random_density_matrix,
@@ -160,7 +160,7 @@ class TestStackValidation:
             for raw, rho in zip(mats, ch.states):
                 single = validate_density(raw)
                 assert np.array_equal(rho.matrix, single.matrix)
-                assert np.array_equal(rho.spectrum.eigenvalues, single.spectrum.eigenvalues)
+                assert np.array_equal(rho.eigenvalues, single.eigenvalues)
                 assert rho.rank == single.rank
 
     @pytest.mark.parametrize("bad, error", [
@@ -220,8 +220,7 @@ class TestStackValidation:
         monkeypatch.undo()
         assert ch.support_stack.shape == (n, n, n)
         for rho in ch.states:
-            spec = rho.spectrum
-            rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+            rebuilt = (rho.eigenvectors * rho.eigenvalues) @ rho.eigenvectors.conj().T
             assert np.abs(rebuilt - rho.matrix).max() < 1e-9
             kernel = kernel_projector(rho)
             assert np.abs(kernel @ rho.matrix).max() < 1e-9
@@ -295,6 +294,21 @@ class TestChannelFiles:
         assert np.allclose(loaded.costs, [0.0, 0.5, 2.0])
         for s, t in zip(ch.states, loaded.states):
             assert np.allclose(s.matrix, t.matrix, atol=1e-15)
+
+    def test_saved_states_are_the_entry_pairs_row_major(self, tmp_path):
+        # mixed qubit states padded to a qutrit, so every state is rank-deficient
+        mats = []
+        for rho in random_channel(3, 2, 43, "mixed").states:
+            big = np.zeros((3, 3), dtype=complex)
+            big[:2, :2] = rho.matrix
+            mats.append(big)
+        ch = CqChannel(mats, [0.0, 0.5, 2.0])
+        path = tmp_path / "channel.json"
+        save_channel(ch, path)
+        states = [[[[float(z.real), float(z.imag)] for z in row] for row in rho.matrix]
+                  for rho in ch.states]
+        expected = {"dim": 3, "states": states, "costs": [0.0, 0.5, 2.0]}
+        assert path.read_text(encoding="utf-8") == json.dumps(expected) + "\n"
 
     def test_costs_default_to_zero(self):
         doc = channel_to_jsonable(random_channel(2, 2, 3, "pure"))

@@ -23,13 +23,13 @@ from helpers import (
 class TestValidateDensity:
     def test_maximally_mixed_qubit(self):
         rho = validate_density(np.eye(2) / 2)
-        assert np.allclose(rho.spectrum.eigenvalues, [0.5, 0.5])
+        assert np.allclose(rho.eigenvalues, [0.5, 0.5])
         assert rho.rank == 2
 
     def test_pure_state_rank_one(self):
         rho = validate_density(np.diag([1.0, 0.0]))
         assert rho.rank == 1
-        assert np.allclose(rho.spectrum.eigenvalues, [1.0, 0.0])
+        assert np.allclose(rho.eigenvalues, [1.0, 0.0])
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(NotPSD):
@@ -58,14 +58,13 @@ class TestValidateDensity:
     def test_tiny_negativity_clamped_and_renormalized(self):
         rho = validate_density(np.diag([1.0 + 1e-15, -1e-15]))
         assert rho.rank == 1
-        assert abs(float(rho.spectrum.eigenvalues.sum()) - 1.0) < 1e-15
+        assert abs(float(rho.eigenvalues.sum()) - 1.0) < 1e-15
 
     def test_spectrum_round_trip(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             rho = random_density_matrix(rng, 4)
-            spec = rho.spectrum
-            rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+            rebuilt = (rho.eigenvectors * rho.eigenvalues) @ rho.eigenvectors.conj().T
             assert np.abs(rebuilt - rho.matrix).max() < 1e-9
 
     def test_matrices_are_read_only(self):
@@ -74,8 +73,8 @@ class TestValidateDensity:
             rho.matrix[0, 0] = 3.0
 
     def test_equal_spectra_compare_and_hash_by_identity(self):
-        a = validate_density(np.eye(2) / 2).spectrum
-        b = validate_density(np.eye(2) / 2).spectrum
+        a = validate_density(np.eye(2) / 2)
+        b = validate_density(np.eye(2) / 2)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert a == a and a != b
         assert len({a, b, a}) == 2
@@ -128,6 +127,34 @@ class TestRelativeEntropy:
         mixed = validate_density(np.eye(2) / 2)
         pure = validate_density(np.diag([1.0, 0.0]))
         assert quantum_relative_entropy(mixed, pure) == math.inf
+
+    def test_rank_deficient_sigma_matches_the_compressed_blocks(self):
+        # rho inside supp(sigma): the divergence is that of the r x r blocks
+        # in an orthonormal basis of the support, taken here from their spectra
+        rng = np.random.default_rng(37)
+        for m, r in ((2, 1), (3, 2), (5, 2), (6, 4)):
+            for _ in range(10):
+                basis = random_unitary(rng, m)[:, :r]
+                a = random_density_matrix(rng, r).matrix
+                b = random_density_matrix(rng, r).matrix
+                rho = validate_density(basis @ a @ basis.conj().T)
+                sigma = validate_density(basis @ b @ basis.conj().T)
+                assert sigma.rank == r
+                wa = np.linalg.eigvalsh(a)
+                wb, vb = np.linalg.eigh(b)
+                log_b = (vb * np.log(wb)) @ vb.conj().T
+                expected = float(wa @ np.log(wa)) - trace_product(a, log_b).real
+                assert relative_entropy_nats(rho, sigma) == pytest.approx(expected, abs=1e-12)
+
+    def test_support_tolerance_boundary(self):
+        # SUPPORT_TOL = 1e-10 of rho's weight may lie on sigma's kernel
+        rng = np.random.default_rng(41)
+        u = random_unitary(rng, 3)
+        sigma = validate_density(u @ np.diag([0.6, 0.4, 0.0]) @ u.conj().T)
+        for leak, finite in ((1e-11, True), (1e-9, False)):
+            rho = validate_density(u @ np.diag([0.5 - leak, 0.5, leak]) @ u.conj().T)
+            assert rho.rank == 3
+            assert math.isfinite(relative_entropy_nats(rho, sigma)) is finite
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):

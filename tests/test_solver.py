@@ -22,11 +22,12 @@ from cqcap import (
     upper_bound,
 )
 from cqcap.errors import EmptyTrace, SupportViolation
-from cqcap.hermitian import EIGENVALUE_REL, LN2, kernel_projector
+from cqcap.hermitian import EIGENVALUE_REL, LN2
 from cqcap.oracle import DEFAULT_GRID_RESOLUTION, GridSpec, grid_capacity
 from helpers import (
     BSC_CAPACITY,
     NONORTH_PAIR_CAPACITY,
+    kernel_projector,
     nonorthogonal_pair_channel,
     orthogonal_channel,
     random_simplex_point,

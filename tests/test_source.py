@@ -1,13 +1,19 @@
-"""Static checks on the package source."""
+"""Checks on the package source and on the README's example."""
 
 import ast
+import contextlib
+import io
+import re
 from pathlib import Path
+
+import pytest
 
 import cqcap
 import cqcap.solver
 from cqcap import errors
 
 SOURCE_DIR = Path(cqcap.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_no_runtime_asserts_or_debug_switches():
@@ -92,3 +98,15 @@ def test_solver_leaves_the_support_layout_to_the_channel():
     forbidden = {"eigh", "eigvalsh", "_packed_support", "_outside_mass", "_support_mixture",
                  "support_stack", "EIGENVALUE_REL"}
     assert sorted(_names(SOURCE_DIR / "solver.py") & forbidden) == []
+
+
+def test_readme_quick_start_runs_and_prints_the_documented_values():
+    # the first python block of the README, run as written
+    code = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert float(lines[0]) == pytest.approx(0.6008760366928562, abs=1e-6)
+    # the budgeted line prints capacity, expected cost and multiplier
+    assert float(lines[-1].split()[1]) == pytest.approx(0.3, abs=1e-12)
