@@ -192,6 +192,26 @@ class CqChannel:
         return stack.reshape(stack.shape[0], -1).view(np.float64)
 
     @cached_property
+    def _diagonal_rows(self) -> np.ndarray | None:
+        """The diagonals of ``support_stack`` as one real (n, d) array, or None.
+
+        None unless every off-diagonal entry of ``support_stack`` is exactly
+        zero; then the channel is classical, row x is the distribution
+        V^H rho_x V puts on the basis, and the step kernel needs no ``eigh``.
+        Validation and the support basis symmetrize every state, so a diagonal
+        entry's imaginary part is exactly zero and ``.real`` drops nothing.
+        """
+        stack = self._support_stack
+        diagonal = stack.diagonal(axis1=1, axis2=2)
+        # classical iff every nonzero entry lies on the diagonal; counting copies
+        # nothing, and each CLI call builds a fresh channel that pays for it once
+        if np.count_nonzero(stack) != np.count_nonzero(diagonal):
+            return None
+        rows = np.ascontiguousarray(diagonal.real)
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
     def letter_entropies_nats(self) -> np.ndarray:
         ent = np.array([s.entropy_nats for s in self._states])
         ent.setflags(write=False)
@@ -232,26 +252,44 @@ def _support_mixture(ch: CqChannel, w: np.ndarray) -> np.ndarray:
 def _spectral_terms(ch: CqChannel, w: np.ndarray):
     """The solver step's kernel: the mixture's spectrum, the divergences and the excess.
 
-    Returns the eigenvalues of the support-basis mixture sigma (ascending,
-    before raising), the divergences against tau', sigma with its
-    eigenvalues raised to the cutoff c (nats), and the upper bound's excess
-    (nats); the ``cqcap.solver`` docstring says why they certify. The excess
-    also charges for the support basis. With delta the trace the raising
-    added, T = V tau' V^H + c (1 - V V^H) is block diagonal, so
+    Returns the eigenvalues of the support-basis mixture sigma (before
+    raising), the divergences against tau', sigma with its eigenvalues raised
+    to the cutoff c (nats), and the upper bound's excess (nats); the
+    ``cqcap.solver`` docstring says why they certify.
+
+    The excess also charges for the support basis. With delta the trace the
+    raising added, T = V tau' V^H + c (1 - V V^H) is block diagonal, so
     Tr(rho_x log T) = Tr(V^H rho_x V log tau') + l_x log c exactly, and
     Tr T <= 1 + delta + (m - d) c. So the upper bound takes the compressed
     divergences and adds log(1 + delta + (m - d) c) - eta log c, which makes
     it at least the bound of the state T / Tr T. When the states lie inside
     V, T >= V sigma V^H and the compressed divergences are those against T,
     so the step value stays a lower bound.
+
+    A classical channel, whose ``support_stack`` has only exact zeros off
+    the diagonal, takes no ``eigh``: sigma is the diagonal w @ W of its
+    (n, d) diagonal rows W, in the basis's order, tau' is diagonal too, and
+    the cross terms Tr(rho_x log tau') are W @ log(raised). Any other
+    channel takes the ``eigh`` of sigma, whose eigenvalues come ascending.
+    The test has no tolerance on purpose: a state with off-diagonal mass,
+    however small, is not its diagonal, so dropping that mass would change
+    its divergence, and the upper bound would no longer be the bound of an
+    explicit state. Both branches share every formula after the spectrum.
     """
     # w is a simplex vector the caller vouches for, so the mixture of validated
     # states is Hermitian with unit trace and needs only its spectrum
-    evals, evecs = np.linalg.eigh(_support_mixture(ch, w))
+    rows = ch._diagonal_rows
+    if rows is None:
+        evals, evecs = np.linalg.eigh(_support_mixture(ch, w))
+    else:
+        evals = w @ rows
     floor = EIGENVALUE_REL * float(evals.max())
     raised = np.maximum(evals, floor)
-    log_tau = (evecs * np.log(raised)) @ evecs.conj().T
-    cross = ch._packed_support @ log_tau.reshape(-1).view(np.float64)
+    if rows is None:
+        log_tau = (evecs * np.log(raised)) @ evecs.conj().T
+        cross = ch._packed_support @ log_tau.reshape(-1).view(np.float64)
+    else:
+        cross = rows @ np.log(raised)
     div = np.maximum(-ch.letter_entropies_nats - cross, 0.0)
     added = float((raised - evals).sum()) + (ch.dim - evals.size) * floor
     excess = math.log1p(added) - ch._outside_mass * math.log(floor)

@@ -107,7 +107,9 @@ class IterationState:
     """
 
     probs: np.ndarray
-    eigenvalues: np.ndarray  # of the mixture in the support basis, ascending, before raising
+    # of the mixture in the support basis, before raising: ascending, or in the
+    # basis's order for a classical channel (see ``cqcap.channel._spectral_terms``)
+    eigenvalues: np.ndarray
     divergences_nats: np.ndarray
     excess_nats: float
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from cqcap import (
     SolverConfig,
     TerminationReason,
     ba_step,
+    classical_ba,
+    diagonal_transition_matrix,
     holevo_quantity,
     kl_divergence_bits,
     make_iteration_state,
@@ -31,6 +34,7 @@ from helpers import (
     nonorthogonal_pair_channel,
     orthogonal_channel,
     random_simplex_point,
+    random_unitary,
 )
 
 
@@ -529,6 +533,8 @@ class TestSupportBasis:
                     assert abs(ba_step(ch, multiplier, state)[1] - value) <= 1e-10
 
     def test_full_support_step_is_bit_identical(self):
+        # a classical channel steps on its diagonal rows without an eigh, so it
+        # rounds differently from the matrix step and is held to 1e-12 instead
         rng = np.random.default_rng(47)
         for kind in ("pure", "mixed", "diagonal"):
             ch = CqChannel(random_channel(4, 3, 48, kind).states, [0.0, 1.0, 0.4, 2.0])
@@ -536,9 +542,14 @@ class TestSupportBasis:
             for p in self.points(rng, 4):
                 state = make_iteration_state(ch, p)
                 div, upper, value = full_space_step(ch, 0.7, p)
-                assert np.array_equal(state.divergences_nats, div)
-                assert upper_bound(ch, 0.7, state) == upper
-                assert ba_step(ch, 0.7, state)[1] == value
+                if kind == "diagonal":
+                    assert np.abs(state.divergences_nats - div).max() <= 1e-12
+                    assert abs(upper_bound(ch, 0.7, state) - upper) <= 1e-12
+                    assert abs(ba_step(ch, 0.7, state)[1] - value) <= 1e-12
+                else:
+                    assert np.array_equal(state.divergences_nats, div)
+                    assert upper_bound(ch, 0.7, state) == upper
+                    assert ba_step(ch, 0.7, state)[1] == value
 
     def test_holevo_matches_full_space_mixture(self):
         rng = np.random.default_rng(53)
@@ -585,6 +596,81 @@ class TestSupportBasis:
         assert upper - lower <= 1e-6
         assert lower <= bound + 1e-9
         assert chi <= upper + 1e-9
+
+
+def classical_cross_check_channels():
+    """The 50 diagonal channels of acceptance criterion 02, in its order."""
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(2, 9))
+        yield random_channel(n, m, int(rng.integers(1 << 31)), "diagonal")
+
+
+class TestClassicalBranch:
+    """A channel whose support stack is exactly diagonal steps on its diagonal rows."""
+
+    def test_diagonal_rows_match_the_matrix_step(self):
+        # criterion 02's rows have no zero entry; the last two channels' do, so
+        # at their point masses the mixture has zeros and the floor binds
+        channels = list(classical_cross_check_channels())
+        channels.append(orthogonal_channel(3))
+        channels.append(CqChannel([np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.3, 0.7]),
+                                   np.diag([1.0, 0.0, 0.0])]))
+        rng = np.random.default_rng(67)
+        for base in channels:
+            n = base.size
+            ch = CqChannel(base.states, np.arange(n) / n)
+            assert ch._diagonal_rows is not None
+            for multiplier in (0.0, 0.7):
+                for p in TestSupportBasis.points(rng, n):
+                    state = make_iteration_state(ch, p)
+                    div, upper, value = full_space_step(ch, multiplier, p)
+                    assert np.abs(state.divergences_nats - div).max() <= 1e-10
+                    assert abs(upper_bound(ch, multiplier, state) - upper) <= 1e-10
+                    assert abs(ba_step(ch, multiplier, state)[1] - value) <= 1e-10
+
+    def test_rotated_channels_match_the_classical_oracle_through_eigh(self):
+        # conjugated by a fixed unitary, a classical channel keeps its capacity
+        # but leaves the diagonal branch, so this pins the matrix step to the oracle
+        epsilon = 1e-8
+        channels = list(itertools.islice(classical_cross_check_channels(), 10))
+        # the fifth is the boundary channel random_channel(8, 2, 356456227, "diagonal")
+        boundary = random_channel(8, 2, 356456227, "diagonal")
+        assert np.array_equal(channels[4].state_stack, boundary.state_stack)
+        for ch in channels:
+            u = random_unitary(np.random.default_rng(71), ch.dim)
+            rotated = CqChannel([u @ rho.matrix @ u.conj().T for rho in ch.states])
+            assert rotated._diagonal_rows is None
+            result = unconstrained_capacity(rotated, epsilon=epsilon)
+            reference = classical_ba(diagonal_transition_matrix(ch), epsilon=epsilon)
+            assert abs(result.capacity_bits - reference) <= 2 * epsilon + 1e-12
+
+    def test_classical_channels_step_without_eigh(self, monkeypatch):
+        classical = CqChannel(random_channel(4, 3, 5, "diagonal").states, [0.0, 1.0, 0.4, 2.0])
+        # a zero output column compresses to d = 2, still exactly diagonal
+        compressed = padded(random_channel(3, 2, 6, "diagonal"))
+        assert compressed.support_stack.shape == (3, 2, 2)
+        mats = [rho.matrix.copy() for rho in classical.states]
+        mats[0][0, 1] = mats[0][1, 0] = 1e-30
+        perturbed = CqChannel(mats, classical.costs)
+        assert perturbed.support_stack[0, 0, 1] == 1e-30
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for ch in (classical, compressed):
+            res, _ = solve_fixed_lambda(ch, SolverConfig(multiplier=0.3, epsilon=1e-8))
+            assert res.termination is TerminationReason.GAP_REACHED
+        assert shapes == []
+        res, _ = solve_fixed_lambda(perturbed, SolverConfig(multiplier=0.3, epsilon=1e-8))
+        monkeypatch.undo()
+        assert res.termination is TerminationReason.GAP_REACHED
+        assert shapes == [(3, 3)] * (res.iterations + res.rejected_steps)
 
 
 class TestRateDiagnostics:
