@@ -57,12 +57,6 @@ class CapacityResult:
     trace: IterationTrace
 
 
-def _warm_start(probs: np.ndarray) -> np.ndarray:
-    # restore strict positivity lost to underflow in a previous solve
-    n = probs.size
-    return (1.0 - WARM_START_MIX) * probs + WARM_START_MIX / n
-
-
 def unconstrained_capacity(ch: CqChannel, epsilon: float = 1e-6,
                            max_iter: int = 1_000_000) -> CapacityResult:
     """Capacity without a cost budget: the budgeted capacity at an infinite budget."""
@@ -155,9 +149,11 @@ def constrained_capacity(ch: CqChannel, cost_limit: float, epsilon: float = 1e-6
                        for _, lam in duals)):
             return _capacity_result(ch, mix, lower, upper, multiplier, True, evaluations,
                                     res.termination, trace)
-        # the slope lies between the two points' multipliers, so its optimizer's
-        # cost lies between theirs; their even mixture has mass where either has
-        res, trace, point = solve(slope, _warm_start(0.5 * (p_lo + p_hi)))
+        # the slope's optimizer costs between the two points; start from their
+        # even mixture, moved off the boundary so that a letter the new slope
+        # needs does not regrow from ~1e-26 of mass, which can stall the solve
+        start = 0.5 * (p_lo + p_hi)
+        res, trace, point = solve(slope, (1.0 - WARM_START_MIX) * start + WARM_START_MIX / ch.size)
         if res.expected_cost <= cost_limit:
             below = point
         else:

@@ -18,27 +18,28 @@ Every bound is finite, at any distribution, zero-mass letters included.
 Every evaluation of a distribution is the channel's step kernel
 ``_spectral_terms``, which works in the channel's joint-support basis and
 adds the charge for the states' weight outside it to the excess (see
-``cqcap.channel``). The solve loop keeps each state as plain arrays, and
-``make_iteration_state``, ``ba_step``, ``upper_bound`` and
-``surrogate_objective`` wrap the same kernel; ``ba_step`` and
-``upper_bound`` also share the loop's log-weight and bound helpers, so they
-reproduce the loop's bounds and step values bit for bit. The one Holevo
-value a solve reports is ``holevo_quantity`` at the returned distribution, a
-values-only spectrum.
+``cqcap.channel``). The loop forms each state's gain D - penalty once: the
+upper bound is max(gain) + excess and the step value log Z = lse(log p +
+gain). ``make_iteration_state``, ``ba_step``, ``upper_bound`` and
+``surrogate_objective`` share the kernel and the penalty helper, so they
+reproduce the loop's bounds and step values bit for bit. A solve reports one
+Holevo value, ``holevo_quantity`` at the returned distribution.
 
-The solver steps further than the plain update T when that keeps the
-ascent. From a state s with step value log Z(s) it proposes the
-extrapolated update q ~ p exp(gamma (D - penalty)) (the accelerated step of
-Matz and Duhamel; gamma = 1 is T) and keeps q when log Z(q) >= log Z(s).
-Otherwise it takes T(s) and resets gamma to 1; each kept step multiplies
-gamma by ``GAMMA_GROWTH``, up to ``GAMMA_MAX``. Both bounds are those of
-the current state, valid at any distribution, so the certificate does not
-depend on which update led there. A run that stops at s returns T(s),
-whose penalized Holevo value is at least log Z(s), so the returned
-distribution carries the lower bound. The proposal floors the log-weights
-of letters with positive mass at ``LOG_WEIGHT_FLOOR`` below the largest:
-a large gamma would otherwise underflow a letter the plain update keeps to
-zero mass, which it could never regain.
+One function, ``_update``, makes every distribution the solver steps to or
+returns: p ~ p exp(gamma gain), normalized by its sum, the log-weights of
+positive letters floored at ``LOG_WEIGHT_FLOOR`` below the largest, so none
+underflows to zero mass, which it could never regain. gamma = 1 is the plain
+update T (the floor moves at most exp(-700) of mass per letter), as in
+``ba_step``. So every iterate and returned distribution is strictly positive.
+
+The solver steps further than T when that keeps the ascent: from a state s
+it proposes gamma > 1 (the extrapolated step of Matz and Duhamel) and keeps
+the proposal when its step value is at least log Z(s). Otherwise it takes
+T(s) and resets gamma to 1; each kept step multiplies gamma by
+``GAMMA_GROWTH``, up to ``GAMMA_MAX``. Both bounds are those of the current
+state, valid at any distribution, so the certificate does not depend on
+which update led there. A run that stops at s returns T(s), whose penalized
+Holevo value is at least log Z(s), so it carries the lower bound.
 """
 
 from __future__ import annotations
@@ -68,6 +69,18 @@ GAMMA_MAX = 64.0
 LOG_WEIGHT_FLOOR = 700.0  # nats; exp(-700) is still a normal float
 
 
+def _check_multiplier(multiplier: float) -> None:
+    # a nan fails every comparison, so it fails this one too
+    if not 0 <= multiplier < math.inf:
+        raise ValueError(f"multiplier must be finite and nonnegative, got {multiplier!r}")
+
+
+def _penalty_nats(ch: CqChannel, multiplier: float) -> np.ndarray:
+    """The per-letter penalty multiplier * costs, in nats."""
+    _check_multiplier(multiplier)
+    return multiplier * LN2 * ch.costs
+
+
 class TerminationReason(str, Enum):
     GAP_REACHED = "gap_reached"
     MAX_ITER = "max_iter"
@@ -87,9 +100,7 @@ class SolverConfig:
     max_iter: int = 1_000_000
 
     def __post_init__(self):
-        # a nan fails every comparison, so it fails this one too
-        if not 0 <= self.multiplier < math.inf:
-            raise ValueError(f"multiplier must be finite and nonnegative, got {self.multiplier!r}")
+        _check_multiplier(self.multiplier)
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 1:
@@ -191,38 +202,38 @@ def surrogate_objective(ch: CqChannel, multiplier: float, p, p_prime) -> float:
         raise SupportViolation("p puts mass on a letter where p_prime has none")
     div = _spectral_terms(ch, ref)[1]
     terms = w[mask] * (np.log(ref[mask]) - np.log(w[mask]) + div[mask])
-    nats = float(terms.sum()) - multiplier * LN2 * float(ch.costs @ w)
+    nats = float(terms.sum()) - float(_penalty_nats(ch, multiplier) @ w)
     return nats / LN2
 
 
-def _log_weights(log_p: np.ndarray, div: np.ndarray, penalty_nats: np.ndarray) -> np.ndarray:
-    """The plain update's log-weights log p + D - penalty."""
-    return log_p + div - penalty_nats
-
-
 def _log_partition(log_weights: np.ndarray) -> float:
-    """log Z, the log-sum-exp of the plain update's log-weights."""
+    """log Z, the log-sum-exp of the plain update's log-weights log p + gain."""
     top = float(log_weights.max())
     return top + math.log(float(np.exp(log_weights - top).sum()))
 
 
-def _upper_bits(div: np.ndarray, excess: float, penalty_nats: np.ndarray) -> float:
-    """The upper bound max_x (D_x - penalty_x) + excess, in bits."""
-    return (float((div - penalty_nats).max()) + excess) / LN2
+def _update(log_p: np.ndarray, gain: np.ndarray, gamma: float = 1.0) -> np.ndarray:
+    """p ~ p exp(gamma gain), positive letters' log-weights floored (module docstring)."""
+    trial = log_p + gamma * gain
+    trial -= trial.max()
+    # zero-mass letters stay at log 0 = -inf
+    np.maximum(trial, -LOG_WEIGHT_FLOOR, out=trial, where=trial > -math.inf)
+    weights = np.exp(trial)
+    return weights / weights.sum()
 
 
 def ba_step(ch: CqChannel, multiplier: float, state: IterationState):
-    """One multiplicative update; returns the new state and the step value in bits.
+    """The loop's plain update T, bit for bit; returns the new state and the step value in bits.
 
-    Letters with zero mass stay at zero. The step value is a certified lower
-    bound on the penalized optimum at any distribution.
+    Zero-mass letters stay at zero, and positive ones stay positive. The step
+    value is a certified lower bound on the penalized optimum at any
+    distribution.
     """
+    gain = state.divergences_nats - _penalty_nats(ch, multiplier)
     with np.errstate(divide="ignore"):
-        log_weights = _log_weights(np.log(state.probs), state.divergences_nats,
-                                   multiplier * LN2 * ch.costs)
-    log_norm = _log_partition(log_weights)
-    w = np.exp(log_weights - log_norm)
-    return IterationState(w, *_spectral_terms(ch, w)), log_norm / LN2
+        log_p = np.log(state.probs)
+    w = _update(log_p, gain)
+    return IterationState(w, *_spectral_terms(ch, w)), _log_partition(log_p + gain) / LN2
 
 
 def upper_bound(ch: CqChannel, multiplier: float, state: IterationState) -> float:
@@ -231,7 +242,8 @@ def upper_bound(ch: CqChannel, multiplier: float, state: IterationState) -> floa
     Valid and finite at every iterate: the optimum of the penalized Holevo
     value never exceeds it.
     """
-    return _upper_bits(state.divergences_nats, state.excess_nats, multiplier * LN2 * ch.costs)
+    gain = state.divergences_nats - _penalty_nats(ch, multiplier)
+    return (float(gain.max()) + state.excess_nats) / LN2
 
 
 def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
@@ -256,65 +268,56 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         start = as_probability_vector(initial, ch.size)
         if float(start.min()) <= 0.0:
             raise ValueError("initial distribution must be strictly positive")
-    penalty_nats = config.multiplier * LN2 * ch.costs
+    penalty_nats = _penalty_nats(ch, config.multiplier)
 
     def evaluate(w):
-        # what the loop reads of a state: log w, the divergences, the excess,
-        # the plain update's log-weights and log Z
+        # what the loop reads of a state: log w, its gain, the excess and log Z
         _, div, excess = _spectral_terms(ch, w)
         log_w = np.log(w)
-        log_weights = _log_weights(log_w, div, penalty_nats)
-        return log_w, div, excess, log_weights, _log_partition(log_weights)
+        gain = div - penalty_nats
+        return log_w, gain, excess, _log_partition(log_w + gain)
 
     gamma = 1.0
     trace = IterationTrace()
     iterations = rejected = stall_count = 0
     lower, upper = -math.inf, math.inf
     p = start
-    # zero-mass letters take log 0 = -inf and keep zero mass
-    with np.errstate(divide="ignore"):
-        log_p, div, excess, log_weights, log_z = evaluate(p)
-        while True:
-            bound_bits = _upper_bits(div, excess, penalty_nats)
-            value_bits = log_z / LN2
-            iterations += 1
-            moved = (value_bits - lower >= STALL_TOL_BITS
-                     or upper - bound_bits >= STALL_TOL_BITS)
-            lower, upper = max(lower, value_bits), min(upper, bound_bits)
-            stall_count = 0 if moved else stall_count + 1
-            if upper - lower <= config.epsilon:
-                reason = TerminationReason.GAP_REACHED
-            elif stall_count >= STALL_WINDOW:
-                reason = TerminationReason.STALLED
-            elif iterations >= config.max_iter:
-                reason = TerminationReason.MAX_ITER
+    log_p, gain, excess, log_z = evaluate(p)
+    while True:
+        bound_bits = (float(gain.max()) + excess) / LN2
+        value_bits = log_z / LN2
+        iterations += 1
+        moved = (value_bits - lower >= STALL_TOL_BITS
+                 or upper - bound_bits >= STALL_TOL_BITS)
+        lower, upper = max(lower, value_bits), min(upper, bound_bits)
+        stall_count = 0 if moved else stall_count + 1
+        if upper - lower <= config.epsilon:
+            reason = TerminationReason.GAP_REACHED
+        elif stall_count >= STALL_WINDOW:
+            reason = TerminationReason.STALLED
+        elif iterations >= config.max_iter:
+            reason = TerminationReason.MAX_ITER
+        else:
+            reason = None
+        if reason is None:
+            new_p = _update(log_p, gain, gamma)
+            terms = evaluate(new_p)
+            # at gamma = 1 the proposal is the plain update, which needs no test
+            if terms[-1] >= log_z or gamma == 1.0:
+                gamma = min(GAMMA_MAX, GAMMA_GROWTH * gamma)
             else:
-                reason = None
-            if reason is None:
-                # the extrapolated update p * exp(gamma (D - penalty)), its
-                # positive-mass letters floored so that none underflows to zero
-                trial = log_p + gamma * (div - penalty_nats)
-                top = float(trial.max())
-                np.maximum(trial, top - LOG_WEIGHT_FLOOR, out=trial, where=p > 0.0)
-                weights = np.exp(trial - top)
-                new_p = weights / weights.sum()
+                rejected += 1
+                gamma = 1.0
+                new_p = _update(log_p, gain)
                 terms = evaluate(new_p)
-                # at gamma = 1 the proposal is the plain update, which needs no test
-                if terms[-1] >= log_z or gamma == 1.0:
-                    gamma = min(GAMMA_MAX, GAMMA_GROWTH * gamma)
-                else:
-                    rejected += 1
-                    gamma = 1.0
-                    new_p = np.exp(log_weights - log_z)
-                    terms = evaluate(new_p)
-            else:
-                new_p = np.exp(log_weights - log_z)
-            trace.record(value_bits, bound_bits, float(ch.costs @ p),
-                         float(np.abs(new_p - p).sum()), p)
-            p = new_p
-            if reason is not None:
-                break
-            log_p, div, excess, log_weights, log_z = terms
+        else:
+            new_p = _update(log_p, gain)
+        trace.record(value_bits, bound_bits, float(ch.costs @ p),
+                     float(np.abs(new_p - p).sum()), p)
+        p = new_p
+        if reason is not None:
+            break
+        log_p, gain, excess, log_z = terms
 
     probs = InputDistribution(p)
     expected_cost = float(ch.costs @ p)

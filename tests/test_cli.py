@@ -180,18 +180,34 @@ class TestCapacityCommand:
         b.pop("timing_seconds")
         assert a == b
 
-    def test_module_entry_point(self, orth_file):
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_module_entry_point(self, orth_file, tmp_path, flags):
         # the child imports the same cqcap as this process, installed or not
         paths = [str(Path(cqcap.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "cqcap.cli", "capacity", "--channel", orth_file],
-            capture_output=True, text=True, env=env,
-        )
+
+        def capacity(channel_file):
+            return subprocess.run(
+                [sys.executable, *flags, "-m", "cqcap.cli", "capacity",
+                 "--channel", channel_file],
+                capture_output=True, text=True, env=env,
+            )
+
+        proc = capacity(orth_file)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["capacity_bits"] == pytest.approx(
             1.0, abs=1e-6
         )
+        # validation is not an assert, so -O keeps it: diag(1.2, -0.2) is refused
+        bad = tmp_path / "not_psd.json"
+        zero = [0.0, 0.0]
+        bad.write_text(json.dumps({"dim": 2, "states": [
+            [[[1.2, 0.0], zero], [zero, [-0.2, 0.0]]],
+            [[[0.5, 0.0], zero], [zero, [0.5, 0.0]]],
+        ]}))
+        proc = capacity(str(bad))
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == "NotPSD"
 
 
 class TestValidateCommand:

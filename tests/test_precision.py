@@ -2,8 +2,12 @@
 
 With two letters, the mutual information I(p) of the input (p, 1 - p) is
 concave on [0, 1], so a golden-section search at 50 digits finds its
-maximum. Two pure states have the closed form h((1 + |<psi|phi>|) / 2). The
-oracle runs on mpmath, on the inputs as given, off the solver's code path.
+maximum. Two pure states have the closed form h((1 + |<psi|phi>|) / 2). A
+third letter whose state is the even mixture of the first two has
+divergence below the capacity at the two-letter optimum (D is strictly
+convex in its first argument), so its optimal mass is zero and the
+two-letter maximum is the three-letter capacity. The oracle runs on mpmath,
+on the inputs as given, off the solver's code path.
 """
 
 import math
@@ -13,6 +17,7 @@ import numpy as np
 import pytest
 
 from cqcap import CqChannel, unconstrained_capacity
+from helpers import random_unitary
 
 DIGITS = 50
 EPSILON = 1e-12
@@ -91,6 +96,24 @@ def test_classical_interval_contains_the_50_digit_capacity(rows):
     ch = CqChannel([np.diag(row).astype(complex) for row in rows])
     # every one of these steps on its diagonal rows, the zero columns compressed away
     assert ch._diagonal_rows is not None
+    assert_contains(ch, classical_capacity_bits(rows))
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param([[0.7, 0.3, 0.0], [0.1, 0.9, 0.0]], id="zero-column"),
+    pytest.param([[0.6, 0.1, 0.3], [0.05, 0.15, 0.8]], id="full-support"),
+])
+@pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+def test_zero_mass_mixture_letter_keeps_the_two_letter_capacity(rows, rotated):
+    states = [np.diag(row).astype(complex) for row in rows]
+    states.append((states[0] + states[1]) / 2)
+    if rotated:
+        # one fixed unitary takes every state off the diagonal, so the
+        # channel steps through the matrix branch
+        u = random_unitary(np.random.default_rng(3), len(rows[0]))
+        states = [u @ rho @ u.conj().T for rho in states]
+    ch = CqChannel(states)
+    assert (ch._diagonal_rows is None) == rotated
     assert_contains(ch, classical_capacity_bits(rows))
 
 

@@ -230,6 +230,18 @@ class TestSolveFixedLambda:
         _, trace = solve_fixed_lambda(ch, SolverConfig())
         for iterate in trace.iterates:
             assert float(iterate.min()) > 0.0
+        # a large multiplier drives the costly letters' weights far below the
+        # rest; the floored update keeps them, and the returned distribution
+        # can start another solve
+        ch = CqChannel(random_channel(4, 2, 0, "mixed").states, [0, 1, 2, 3])
+        for lam in (200.0, 1000.0):
+            config = SolverConfig(multiplier=lam)
+            res, trace = solve_fixed_lambda(ch, config)
+            for iterate in trace.iterates:
+                assert float(iterate.min()) > 0.0
+            assert float(res.probs.probs.min()) > 0.0
+            restarted, _ = solve_fixed_lambda(ch, config, initial=res.probs)
+            assert restarted.termination is TerminationReason.GAP_REACHED
 
     def test_telescoping_bound(self):
         for i in range(10):
@@ -354,12 +366,17 @@ class TestOneDivergencePath:
         channels.append(CqChannel(padded(random_channel(4, 3, 30, "pure")).states, costs))
         for ch in channels:
             for lam in (0.0, 0.7):
-                _, trace = solve_fixed_lambda(ch, SolverConfig(multiplier=lam, epsilon=1e-9))
+                res, trace = solve_fixed_lambda(ch, SolverConfig(multiplier=lam, epsilon=1e-9))
                 assert trace.steps == list(range(len(trace)))
                 for i, iterate in enumerate(trace.iterates):
                     state = make_iteration_state(ch, iterate)
                     assert trace.upper_bits[i] == upper_bound(ch, lam, state)
                     assert trace.objective_bits[i] == ba_step(ch, lam, state)[1]
+                # the first step and the returned distribution are plain updates
+                first = ba_step(ch, lam, make_iteration_state(ch, trace.iterates[0]))[0]
+                assert np.array_equal(trace.iterates[1], first.probs)
+                last = ba_step(ch, lam, make_iteration_state(ch, trace.iterates[-1]))[0]
+                assert np.array_equal(res.probs.probs, last.probs)
 
     def test_value_matches_public_holevo(self):
         for lam, costs in ((0.0, [0.0, 0.0, 0.0]), (0.6, [0.0, 1.0, 0.3])):
@@ -706,3 +723,11 @@ class TestSolverConfig:
     def test_rejects_a_multiplier_that_is_not_finite_and_nonnegative(self, multiplier):
         with pytest.raises(ValueError, match="multiplier"):
             SolverConfig(multiplier=multiplier)
+        # the public step functions take the same check
+        ch = random_channel(3, 2, 11, "mixed")
+        state = make_iteration_state(ch, [0.2, 0.3, 0.5])
+        for call in (lambda: ba_step(ch, multiplier, state),
+                     lambda: upper_bound(ch, multiplier, state),
+                     lambda: surrogate_objective(ch, multiplier, state.probs, state.probs)):
+            with pytest.raises(ValueError, match="multiplier must be finite and nonnegative"):
+                call()
