@@ -1,12 +1,10 @@
-"""Capacity with an optional expected-cost budget, on the chord of the capacity-cost curve.
+"""Capacity with an optional expected-cost budget, in one solver loop.
 
-The budgeted capacity C(S) is concave in S. A solve at a fixed multiplier
-lambda gives a point below the curve and the weak-duality line
-U(lambda) + lambda * S above it (Blahut's parametric method). The search
-mixes a solved point on each side of the budget to cost exactly S and solves
-next at their chord's slope, until the mixture's Holevo value and the
-smallest dual line meet within epsilon. The unconstrained capacity is
-C(inf), where the budget cannot bind and the multiplier is zero.
+The solver meets a budget S inside its step (``cqcap.solver``), so every
+budget above the cheapest letter cost is one solve at the full epsilon, and
+the result's certificate is that solve's. Only the cheapest letters fit a
+budget at their cost, so its capacity is theirs alone. The unconstrained
+capacity is the budgeted one at S = inf, where the multiplier is zero.
 """
 
 from __future__ import annotations
@@ -18,16 +16,14 @@ import numpy as np
 
 from .channel import CqChannel, InputDistribution, holevo_quantity
 from .errors import BadParams, InfeasibleCost
+from .hermitian import LN2
 from .solver import (
+    MIN_HEADROOM,
     IterationTrace,
     SolverConfig,
     TerminationReason,
     solve_fixed_lambda,
 )
-
-LAMBDA_TOL_REL = 1e-12
-MAX_CHORD_SOLVES = 64
-WARM_START_MIX = 1e-6
 
 
 @dataclass(frozen=True)
@@ -35,14 +31,17 @@ class CapacityResult:
     """Capacity value with its optimizer, multiplier, and certificate.
 
     ``capacity_bits`` is the certified lower bound, the Holevo value of the
-    budget-feasible ``probs``. ``multiplier`` is that of the smallest dual
-    bound, ``inf`` at a budget equal to the cheapest letter cost.
-    ``constraint_active`` is true when the multiplier-zero optimizer costs
-    more than the budget. ``evaluations`` lists every (multiplier, expected
-    cost) pair solved, in order, the cheapest-letter solve as ``(inf,
-    cheapest cost)``; ``outer_iterations`` counts the solves after the first.
-    ``trace`` is the last inner solve's, so at the cheapest budget it covers
-    only the cheapest letters.
+    budget-feasible ``probs``. ``multiplier`` is that of the best upper
+    bound's dual line, ``inf`` at a budget equal to the cheapest letter
+    cost. ``constraint_active`` is true when the budget set the answer: the
+    solver had to tilt its steps onto the budget and the returned
+    distribution costs it, or only the cheapest letters fit it.
+    ``evaluations`` holds one (multiplier, expected cost) pair per solve,
+    the cheapest-letter solve as ``(inf, cheapest cost)``, and
+    ``outer_iterations``, the solves after the first, is 0. ``iterations``
+    is the solver loop's step count, and ``certified`` says whether the
+    certificate closed within epsilon. ``trace`` is the solve's, so at the
+    cheapest budget it covers only the cheapest letters.
     """
 
     capacity_bits: float
@@ -55,6 +54,8 @@ class CapacityResult:
     termination: TerminationReason
     evaluations: tuple
     trace: IterationTrace
+    iterations: int
+    certified: bool
 
 
 def unconstrained_capacity(ch: CqChannel, epsilon: float = 1e-6,
@@ -63,35 +64,17 @@ def unconstrained_capacity(ch: CqChannel, epsilon: float = 1e-6,
     return constrained_capacity(ch, math.inf, epsilon, max_iter)
 
 
-def _capacity_result(ch, probs, lower, upper, multiplier, active, evaluations, termination,
-                     trace) -> CapacityResult:
-    """Certify the feasible ``probs``: its Holevo value ``lower`` below, ``upper`` above."""
-    return CapacityResult(
-        capacity_bits=lower,
-        probs=InputDistribution(probs),
-        multiplier=multiplier,
-        expected_cost=float(ch.costs @ probs),
-        constraint_active=active,
-        gap_certificate_bits=(lower, upper),
-        outer_iterations=len(evaluations) - 1,
-        termination=termination,
-        evaluations=tuple(evaluations),
-        trace=trace,
-    )
-
-
 def constrained_capacity(ch: CqChannel, cost_limit: float, epsilon: float = 1e-6,
                          max_iter: int = 1_000_000) -> CapacityResult:
     """Capacity subject to expected cost <= cost_limit.
 
-    The constraint is inactive when the multiplier-zero optimizer fits the
-    budget or the budget reaches the costliest letter. Otherwise the chord
-    search starts from the cheapest letters' own capacity and the
-    multiplier-zero optimizer, and ends when its certificate closes within
-    ``epsilon``, when the chord slope repeats a solved multiplier, or after
-    ``MAX_CHORD_SOLVES`` chord solves. Inner solves run at ``epsilon / 2``,
-    except that a budget that cannot bind takes one multiplier-zero solve at
-    ``epsilon``, whose certificate is the whole answer.
+    One solve at ``epsilon``: the solver meets a budget below the costliest
+    letter's cost inside its step, and a budget at or above it cannot bind.
+    At a budget equal to the cheapest letter cost only the cheapest letters
+    fit, so the solve runs on them alone and its result is lifted back. So
+    does a budget within ``MIN_HEADROOM`` of the cost range above it, with
+    the upper bound widened by what the costlier letters' sliver of mass
+    can add.
     """
     if math.isnan(cost_limit):
         raise BadParams("budget must be a number or inf, got nan")
@@ -100,61 +83,46 @@ def constrained_capacity(ch: CqChannel, cost_limit: float, epsilon: float = 1e-6
         raise InfeasibleCost(
             f"budget {cost_limit!r} below the cheapest letter cost {min_cost!r}"
         )
-    # a budget at or above the costliest letter binds nothing; capping it keeps it finite
-    inactive = cost_limit >= max_cost
-    cost_limit = min(cost_limit, max_cost)
-    inner_epsilon = epsilon if inactive else epsilon / 2.0
-    evaluations, duals = [], []
-
-    def solve(multiplier, start=None):
-        config = SolverConfig(multiplier=multiplier, epsilon=inner_epsilon,
-                              max_iter=max_iter)
-        res, trace = solve_fixed_lambda(ch, config, initial=start)
-        evaluations.append((multiplier, res.expected_cost))
-        duals.append((res.upper_bits + multiplier * cost_limit, multiplier))
-        # a fixed-multiplier optimizer's Holevo value, without another Holevo call
-        chi = res.value_bits + multiplier * res.expected_cost
-        return res, trace, (res.expected_cost, chi, res.probs.probs)
-
-    res, trace, above = solve(0.0)
-    if res.expected_cost <= cost_limit or inactive:
-        # at multiplier zero the solver's value is the Holevo value of its distribution
-        return _capacity_result(ch, res.probs.probs, res.value_bits, res.upper_bits, 0.0,
-                                False, evaluations, res.termination, trace)
-
-    # only the cheapest letters fit a budget at their cost, so their own
-    # capacity is the left end of the curve
-    cheapest = np.flatnonzero(ch.costs == min_cost)
-    res, trace = solve_fixed_lambda(
-        CqChannel([ch.states[x] for x in cheapest], ch.costs[cheapest]),
-        SolverConfig(epsilon=inner_epsilon, max_iter=max_iter))
-    evaluations.append((math.inf, min_cost))
-    lifted = np.zeros(ch.size)
-    lifted[cheapest] = res.probs.probs
-    if cost_limit == min_cost:
-        return _capacity_result(ch, lifted, holevo_quantity(ch, lifted), res.upper_bits,
-                                math.inf, True, evaluations, res.termination, trace)
-    below = (min_cost, res.value_bits, lifted)
-
-    while True:
-        (cost_lo, chi_lo, p_lo), (cost_hi, chi_hi, p_hi) = below, above
-        share = (cost_limit - cost_lo) / (cost_hi - cost_lo)
-        mix = (1.0 - share) * p_lo + share * p_hi
-        # concavity puts the mixture's Holevo value on or above the chord
-        lower = holevo_quantity(ch, mix)
-        upper, multiplier = min(duals)
-        slope = max(0.0, (chi_hi - chi_lo) / (cost_hi - cost_lo))
-        if (upper - lower <= epsilon or len(evaluations) - 2 >= MAX_CHORD_SOLVES
-                or any(abs(slope - lam) <= LAMBDA_TOL_REL * max(1.0, slope)
-                       for _, lam in duals)):
-            return _capacity_result(ch, mix, lower, upper, multiplier, True, evaluations,
-                                    res.termination, trace)
-        # the slope's optimizer costs between the two points; start from their
-        # even mixture, moved off the boundary so that a letter the new slope
-        # needs does not regrow from ~1e-26 of mass, which can stall the solve
-        start = 0.5 * (p_lo + p_hi)
-        res, trace, point = solve(slope, (1.0 - WARM_START_MIX) * start + WARM_START_MIX / ch.size)
-        if res.expected_cost <= cost_limit:
-            below = point
-        else:
-            above = point
+    headroom = cost_limit - min_cost
+    if headroom <= MIN_HEADROOM * (max_cost - min_cost) and cost_limit < max_cost:
+        # the solver's floored update cannot meet so little headroom, and
+        # the cheapest letters alone fit any budget
+        cheapest = np.flatnonzero(ch.costs == min_cost)
+        res, trace = solve_fixed_lambda(
+            CqChannel([ch.states[x] for x in cheapest], ch.costs[cheapest]),
+            SolverConfig(epsilon=epsilon, max_iter=max_iter))
+        probs = np.zeros(ch.size)
+        probs[cheapest] = res.probs.probs
+        lower, upper = holevo_quantity(ch, probs), res.upper_bits
+        multiplier, active = math.inf, True
+        if headroom > 0.0:
+            # a feasible p puts mass q <= headroom / gap on the costlier
+            # letters, which adds at most q log2(dim) + h(q) bits to the
+            # Holevo value of the rest (h, the binary entropy, peaks at 1/2)
+            gap = float(ch.costs[ch.costs > min_cost].min()) - min_cost
+            q = min(1.0, headroom / gap)
+            h = min(q, 0.5)
+            upper += q * math.log2(ch.dim) - (h * math.log(h) + (1.0 - h) * math.log1p(-h)) / LN2
+    else:
+        # the solver meets a budget below the costliest letter's cost inside
+        # its step; at multiplier zero its value is the Holevo value of its
+        # distribution
+        res, trace = solve_fixed_lambda(
+            ch, SolverConfig(epsilon=epsilon, max_iter=max_iter, cost_limit=cost_limit))
+        probs, lower, multiplier = res.probs.probs, res.value_bits, res.multiplier
+        upper, active = res.upper_bits, res.budget_binds
+    cost = float(ch.costs @ probs)
+    return CapacityResult(
+        capacity_bits=lower,
+        probs=InputDistribution(probs),
+        multiplier=multiplier,
+        expected_cost=cost,
+        constraint_active=active,
+        gap_certificate_bits=(lower, upper),
+        outer_iterations=0,
+        termination=res.termination,
+        evaluations=((multiplier, cost),),
+        trace=trace,
+        iterations=res.iterations,
+        certified=upper - lower <= epsilon,
+    )

@@ -101,6 +101,8 @@ def _result_payload(result: CapacityResult) -> dict:
         "gap_certificate_bits": list(result.gap_certificate_bits),
         "outer_iterations": result.outer_iterations,
         "termination": result.termination.value,
+        "iterations": result.iterations,
+        "certified": result.certified,
     }
 
 

@@ -1,4 +1,4 @@
-"""Fixed-multiplier alternating-maximization solver with certified bounds.
+"""Alternating-maximization solver with certified bounds, at a fixed multiplier or a budget.
 
 Each iteration multiplies the current distribution by exponentiated
 per-letter divergences and renormalizes. The same iteration yields a
@@ -40,10 +40,30 @@ T(s) and resets gamma to 1; each kept step multiplies gamma by
 state, valid at any distribution, so the certificate does not depend on
 which update led there. A run that stops at s returns T(s), whose penalized
 Holevo value is at least log Z(s), so it carries the lower bound.
+
+A budget S on the expected cost c.p (``SolverConfig.cost_limit``) is met
+inside the step, as in Blahut's and Arimoto's constrained iterations: the
+p-step maximizes f(q, p) over the q with c.q <= S, so it is the tilted
+update T_nu(p) ~ p exp(D - nu c), with nu = 0 when T_0 fits and otherwise
+c.T_nu = S, found by ``_tilt`` from the feasible side. Both bounds still
+come from one kernel call. The lower bound is f(T_nu, p) = log Z_nu + nu
+c.T_nu: as for the plain update, f(q, p) is at most the Holevo value of q
+at any p, and T_nu meets the budget, whatever nu is. So the tilt's
+tolerance (``TILT_TOL_REL`` of the budget) changes only how tight it is,
+never whether it holds. The upper bound is a dual line U(mu) + mu S, with
+U(mu) = max_x (D_x - mu c_x) + excess: U(mu) bounds chi(q) - mu c.q at
+every q, and mu (S - c.q) >= 0 for a feasible q, so the line bounds the
+budgeted optimum for any mu >= 0; each step takes the better of mu = 0 and
+mu = nu. The extrapolated step is tilted onto the budget too.
+Costs enter shifted so the cheapest is zero, which changes no update and no
+bound; a budget must exceed it by ``MIN_HEADROOM`` of the cost range, below
+which the floored update cannot thin the costlier letters enough, and a
+budget at or above the costliest cost runs the fixed-multiplier loop.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -58,7 +78,7 @@ from .channel import (
     holevo_quantity,
     kl_divergence_bits,
 )
-from .errors import EmptyTrace, SupportViolation
+from .errors import BadParams, EmptyTrace, SupportViolation
 from .hermitian import LN2
 
 STALL_TOL_BITS = 1e-14
@@ -67,6 +87,9 @@ DIVERGENCE_FLOOR_BITS = 1e-13
 GAMMA_GROWTH = 1.1
 GAMMA_MAX = 64.0
 LOG_WEIGHT_FLOOR = 700.0  # nats; exp(-700) is still a normal float
+TILT_TOL_REL = 1e-12  # a tilted update costs (1 - this) to 1 times the budget
+TILT_MAX_EVALS = 64  # then the tilt settles for its bracket's feasible end
+MIN_HEADROOM = math.exp(-LOG_WEIGHT_FLOOR / 2)
 
 
 def _check_multiplier(multiplier: float) -> None:
@@ -78,6 +101,10 @@ def _check_multiplier(multiplier: float) -> None:
 def _penalty_nats(ch: CqChannel, multiplier: float) -> np.ndarray:
     """The per-letter penalty multiplier * costs, in nats."""
     _check_multiplier(multiplier)
+    # a Python float product overflows to inf without a warning, and it bounds
+    # every entry of the array product below
+    if not math.isfinite(multiplier * LN2 * float(ch.costs.max())):
+        raise ValueError(f"multiplier {multiplier!r} makes a penalty that is not finite")
     return multiplier * LN2 * ch.costs
 
 
@@ -89,18 +116,24 @@ class TerminationReason(str, Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-multiplier run parameters.
+    """Run parameters: a fixed multiplier, or a budget to meet.
 
     ``multiplier`` is the cost penalty in bits per cost unit; ``epsilon``
-    is the target certified gap in bits.
+    is the target certified gap in bits. A finite ``cost_limit`` tilts each
+    step onto that budget instead (module docstring).
     """
 
     multiplier: float = 0.0
     epsilon: float = 1e-6
     max_iter: int = 1_000_000
+    cost_limit: float = math.inf
 
     def __post_init__(self):
         _check_multiplier(self.multiplier)
+        if math.isnan(self.cost_limit):
+            raise ValueError("cost_limit must be a number or inf, got nan")
+        if self.cost_limit < math.inf and self.multiplier != 0.0:
+            raise ValueError("a budgeted run takes no fixed multiplier")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 1:
@@ -159,14 +192,17 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class FixedLambdaResult:
-    """Outcome of a fixed-multiplier run.
+    """Outcome of a run at a fixed multiplier or a budget.
 
     ``value_bits`` is the penalized Holevo value at the final distribution;
     ``[lower_bits, upper_bits]`` is the certified interval for the optimum,
-    the best bounds of any step. ``rejected_steps`` counts the extrapolated
-    steps that lost ascent and were replaced by the plain update; the run
-    took ``iterations + rejected_steps + 1`` spectra of a mixture, the last
-    a values-only one in ``holevo_quantity``.
+    the best bounds of any step. ``multiplier`` is the configured one, or
+    that of the best upper bound's dual line; ``budget_binds`` says that a
+    step had to be tilted and the returned distribution costs the budget.
+    ``rejected_steps`` counts the extrapolated steps that lost ascent and
+    were replaced by the plain update; the run took ``iterations +
+    rejected_steps + 1`` spectra of a mixture, the last a values-only one in
+    ``holevo_quantity``.
     """
 
     probs: InputDistribution
@@ -177,6 +213,8 @@ class FixedLambdaResult:
     iterations: int
     termination: TerminationReason
     rejected_steps: int
+    multiplier: float
+    budget_binds: bool
 
 
 def make_iteration_state(ch: CqChannel, p) -> IterationState:
@@ -246,6 +284,53 @@ def upper_bound(ch: CqChannel, multiplier: float, state: IterationState) -> floa
     return (float(gain.max()) + state.excess_nats) / LN2
 
 
+def _tilt(log_p, div, gamma, powers, budget, nu):
+    """The update p ~ p exp(gamma (div - nu c)) tilted onto the budget (module docstring).
+
+    Returns nu, the update, its log Z and its expected cost, from the stack
+    ``powers`` of 1, c and c^2. Newton steps on the log of the cost, which
+    falls with nu at gamma times its variance, start from the warm ``nu`` and
+    stay inside the bracket of the tilts seen, or bisect it; after
+    ``TILT_MAX_EVALS`` evaluations the bracket's feasible end is taken.
+    """
+    base = log_p + gamma * div
+    top = float(base.max())
+    base -= top
+    scaled = gamma * powers[1]
+    # lo, the largest tilt seen over the budget, is -inf until one is seen;
+    # until then a step from a feasible tilt that leaves the bracket tries 0
+    lo, hi, step = -math.inf, math.inf, math.inf
+    log_target = math.log(budget * (1.0 - 0.5 * TILT_TOL_REL))
+    for evals in itertools.count():
+        # nu c >= 0 keeps every weight at most 1; shift up when they are so
+        # small that weights MIN_HEADROOM below the largest turn subnormal
+        z = base - nu * scaled
+        total, first, second = (powers @ np.exp(z)).tolist()
+        shift = 0.0 if total > 1e-100 else float(z.max())
+        if shift:
+            total, first, second = (powers @ np.exp(z - shift)).tolist()
+        cost, log_z = first / total, top + shift + math.log(total)
+        if cost <= budget:
+            hi, fit = nu, (nu, log_z, cost)
+            if nu == 0.0 or cost >= budget * (1.0 - TILT_TOL_REL):
+                break
+        else:
+            lo = nu
+        if evals >= TILT_MAX_EVALS and hi < math.inf:
+            break
+        var = second / total - cost * cost
+        new = (nu + (math.log(cost) - log_target) * cost / (gamma * var)
+               if evals < TILT_MAX_EVALS and var > 0.0 and cost > 0.0 else math.inf)
+        new = max(new, 0.0)
+        # bisect when Newton leaves the bracket or fails to halve its last step
+        if not lo < new < hi or abs(new - nu) > 0.5 * step:
+            new = ((0.0 if lo < 0.0 else 0.5 * (lo + hi)) if hi < math.inf
+                   else 2.0 * lo + 1.0 / float(powers[1].max()))
+        step, nu = abs(new - nu), new
+    nu, log_z, cost = fit
+    return nu, _update(log_p, div - nu * powers[1], gamma), log_z, cost
+
+
 def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
     """Iterate from the uniform distribution until the certified gap closes.
 
@@ -261,6 +346,8 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
     iteration cap. A custom ``initial`` distribution must be strictly
     positive: a zero-mass letter can never regain mass, which would silently
     solve a sub-channel.
+    A budget within ``MIN_HEADROOM`` of the cost range above the cheapest
+    cost raises ``BadParams``.
     """
     if initial is None:
         start = np.full(ch.size, 1.0 / ch.size)
@@ -269,26 +356,49 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         if float(start.min()) <= 0.0:
             raise ValueError("initial distribution must be strictly positive")
     penalty_nats = _penalty_nats(ch, config.multiplier)
+    cheapest, costliest = float(ch.costs.min()), float(ch.costs.max())
+    budgeted = config.cost_limit < costliest
+    if budgeted:
+        # shifted costs: the cheapest letters cost zero, the budget is the headroom
+        budget = config.cost_limit - cheapest
+        if not budget > MIN_HEADROOM * (costliest - cheapest):
+            raise BadParams(f"budget {config.cost_limit!r} leaves no headroom above the "
+                            f"cheapest cost {cheapest!r}: only the cheapest letters fit it")
+        costs = ch.costs - cheapest
+        powers = np.stack((np.ones(ch.size), costs, np.square(costs)))
 
-    def evaluate(w):
-        # what the loop reads of a state: log w, its gain, the excess and log Z
+    def evaluate(w, nu=0.0):
+        # what the loop reads of a state: log w, div, gain, the excess, the
+        # step value (nats), and for a budget the tilt and the update it makes
         _, div, excess = _spectral_terms(ch, w)
         log_w = np.log(w)
-        gain = div - penalty_nats
-        return log_w, gain, excess, _log_partition(log_w + gain)
+        if not budgeted:
+            gain = div - penalty_nats
+            return log_w, div, gain, excess, _log_partition(log_w + gain), 0.0, None
+        nu, plain, log_z, cost = _tilt(log_w, div, 1.0, powers, budget, nu)
+        return log_w, div, div - nu * powers[1], excess, log_z + nu * cost, nu, plain
 
     gamma = 1.0
     trace = IterationTrace()
     iterations = rejected = stall_count = 0
-    lower, upper = -math.inf, math.inf
+    lower, upper, multiplier = -math.inf, math.inf, config.multiplier
+    tilted = False
     p = start
-    log_p, gain, excess, log_z = evaluate(p)
+    log_p, div, gain, excess, log_z, nu, plain = evaluate(p)
     while True:
         bound_bits = (float(gain.max()) + excess) / LN2
         value_bits = log_z / LN2
         iterations += 1
+        mu = config.multiplier
+        if nu > 0.0:
+            # a tilted step's bound: its dual line at mu = nu, or the one at 0
+            tilted, free = True, (float(div.max()) + excess) / LN2
+            bound_bits += nu * budget / LN2
+            bound_bits, mu = (bound_bits, nu / LN2) if bound_bits < free else (free, 0.0)
         moved = (value_bits - lower >= STALL_TOL_BITS
                  or upper - bound_bits >= STALL_TOL_BITS)
+        if bound_bits < upper:
+            multiplier = mu
         lower, upper = max(lower, value_bits), min(upper, bound_bits)
         stall_count = 0 if moved else stall_count + 1
         if upper - lower <= config.epsilon:
@@ -300,24 +410,25 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         else:
             reason = None
         if reason is None:
-            new_p = _update(log_p, gain, gamma)
-            terms = evaluate(new_p)
+            new_p = (_update(log_p, gain, gamma) if not budgeted else plain if gamma == 1.0
+                     else _tilt(log_p, div, gamma, powers, budget, nu)[1])
+            terms = evaluate(new_p, nu)
             # at gamma = 1 the proposal is the plain update, which needs no test
-            if terms[-1] >= log_z or gamma == 1.0:
+            if terms[4] >= log_z or gamma == 1.0:
                 gamma = min(GAMMA_MAX, GAMMA_GROWTH * gamma)
             else:
                 rejected += 1
                 gamma = 1.0
-                new_p = _update(log_p, gain)
-                terms = evaluate(new_p)
+                new_p = _update(log_p, gain) if plain is None else plain
+                terms = evaluate(new_p, nu)
         else:
-            new_p = _update(log_p, gain)
+            new_p = _update(log_p, gain) if plain is None else plain
         trace.record(value_bits, bound_bits, float(ch.costs @ p),
                      float(np.abs(new_p - p).sum()), p)
         p = new_p
         if reason is not None:
             break
-        log_p, gain, excess, log_z = terms
+        log_p, div, gain, excess, log_z, nu, plain = terms
 
     probs = InputDistribution(p)
     expected_cost = float(ch.costs @ p)
@@ -330,6 +441,8 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         iterations=iterations,
         termination=reason,
         rejected_steps=rejected,
+        multiplier=multiplier,
+        budget_binds=tilted and float(powers[1] @ p) >= budget * (1.0 - TILT_TOL_REL),
     )
     return result, trace
 

@@ -232,10 +232,13 @@ def test_criterion_10_cost_constraint_end_to_end():
     result = constrained_capacity(ch, 0.3, epsilon=1e-6)
     err_value = abs(result.capacity_bits - BUDGET_CAPACITY)
     err_cost = abs(result.expected_cost - 0.3)
-    ordered = sorted(result.evaluations)
-    monotone = all(
-        later <= earlier + 2e-6
-        for (_, earlier), (_, later) in zip(ordered, ordered[1:])
+    # one solve meets the budget, so the monotone costs come from fixed
+    # multipliers around the certificate's own
+    mu = result.multiplier
+    costs = [solve_fixed_lambda(ch, SolverConfig(multiplier=lam))[0].expected_cost
+             for lam in (0.0, mu / 2, mu, 2 * mu)]
+    monotone = 0.0 < mu < math.inf and all(
+        later <= earlier + 2e-6 for earlier, later in zip(costs, costs[1:])
     )
     check(10, "budgeted orthogonal pair reaches H_b(0.3) with cost 0.3 and monotone costs",
           err_value <= 1e-5 and err_cost <= 1e-6 and monotone,

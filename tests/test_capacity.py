@@ -7,10 +7,12 @@ import cqcap.capacity
 from cqcap import (
     CqChannel,
     GridSpec,
+    SolverConfig,
     constrained_capacity,
     grid_capacity,
     holevo_quantity,
     random_channel,
+    solve_fixed_lambda,
     unconstrained_capacity,
 )
 from cqcap.errors import BadParams, InfeasibleCost
@@ -102,10 +104,14 @@ class TestConstrainedCapacity:
             )
 
     def test_expected_cost_monotone_in_multiplier(self):
+        # the unconstrained optimizer costs 0.247, so the budget binds
         ch = CqChannel(random_channel(3, 2, 23, "mixed").states, costs=[0.1, 1.0, 0.4])
-        result = constrained_capacity(ch, 0.3)
-        ordered = sorted(result.evaluations)
-        for (_, cost_a), (_, cost_b) in zip(ordered, ordered[1:]):
+        result = constrained_capacity(ch, 0.2)
+        mu = result.multiplier
+        assert result.constraint_active and 0.0 < mu < math.inf
+        costs = [solve_fixed_lambda(ch, SolverConfig(multiplier=lam))[0].expected_cost
+                 for lam in (0.0, mu / 2, mu, 2 * mu)]
+        for cost_a, cost_b in zip(costs, costs[1:]):
             assert cost_b <= cost_a + 2e-6
 
     def test_capacity_monotone_in_budget(self):
@@ -184,7 +190,7 @@ class TestCertificateRule:
 
 
 class TestChordSearch:
-    """The budgeted search closes its certificate at a budget-feasible mixture."""
+    """The budgeted solve closes its certificate at a budget-feasible distribution."""
 
     def test_nan_budget_rejected_before_any_solve(self, monkeypatch):
         calls = []
@@ -288,7 +294,9 @@ class TestUnconstrainedIsInfiniteBudget:
                 assert loose.termination is free.termination
                 assert len(loose.trace) == len(free.trace)
 
-    def test_only_an_active_budget_halves_the_inner_epsilon(self, monkeypatch):
+    def test_each_budget_takes_one_solve_at_epsilon(self, monkeypatch):
+        # the budget is met inside the solver's step, so no budget above the
+        # cheapest cost needs a second solve or a tighter inner epsilon
         seen = []
         solve = cqcap.capacity.solve_fixed_lambda
         monkeypatch.setattr(cqcap.capacity, "solve_fixed_lambda",
@@ -296,14 +304,59 @@ class TestUnconstrainedIsInfiniteBudget:
                             or solve(ch, config, **kw))
         eps = 1e-5
         for ch in self.channels():
-            for budget in (float(ch.costs.max()), 10.0, math.inf):
+            for budget in (float(ch.costs.max()), 10.0, math.inf, 0.5, 0.3 + 1e-9):
                 seen.clear()
-                constrained_capacity(ch, budget, epsilon=eps)
+                result = constrained_capacity(ch, budget, epsilon=eps)
                 assert seen == [eps]
+                assert result.certified
+            assert result.constraint_active
             seen.clear()
             unconstrained_capacity(ch, epsilon=eps)
             assert seen == [eps]
-            seen.clear()
-            result = constrained_capacity(ch, 0.5, epsilon=eps)
-            assert result.constraint_active
-            assert seen and set(seen) == {eps / 2}
+
+
+def _edge_channel(costs):
+    return CqChannel(random_channel(3, 2, 1, "mixed").states, costs)
+
+
+class TestBudgetEdgeCases:
+    """Budgets at and just above the cheapest cost, tied and zero costs, a wide cost span."""
+
+    @pytest.mark.parametrize("costs, budget", [
+        ([0.2, 0.7, 1.0], 0.2 + 1e-9 * 0.8),
+        ([0.2, 0.7, 1.0], 0.2 + 1e-6 * 0.8),
+        ([0.2, 0.7, 1.0], 0.2 + 1e-3 * 0.8),
+        ([0.5, 0.5, 1.0], 0.7),
+        ([0.5, 1.0, 1.0], 0.6),
+        ([0.0, 1.0, 0.6], 0.3),
+        ([0.2, 0.7, 1.0], 0.2),
+        ([0.0, 0.0, 1.0], 0.0),
+        # the tilt times the costs must not overflow
+        ([0.0, 1e10, 2e10], 1e-9 * 2e10),
+    ], ids=["headroom-1e-9", "headroom-1e-6", "headroom-1e-3", "tied-cheapest",
+            "tied-costliest", "zero-cost", "at-cheapest", "at-tied-cheapest", "span-1e10"])
+    def test_certifies_in_one_solve(self, monkeypatch, costs, budget):
+        calls = []
+        solve = cqcap.capacity.solve_fixed_lambda
+        monkeypatch.setattr(cqcap.capacity, "solve_fixed_lambda",
+                            lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+        ch = _edge_channel(costs)
+        eps = 1e-6
+        result = constrained_capacity(ch, budget, epsilon=eps)
+        lower, upper = result.gap_certificate_bits
+        assert result.certified and upper - lower <= eps
+        assert result.expected_cost <= budget + 1e-12
+        grid = grid_capacity(ch, GridSpec(DEFAULT_GRID_RESOLUTION[3]), cost_limit=budget)
+        assert lower - grid.slack_bits <= grid.value_bits <= upper + grid.slack_bits
+        assert len(calls) == 1
+
+    def test_headroom_below_the_floored_update_certifies(self):
+        # the costlier letters could carry at most 1e-300 of mass, which the
+        # solver's floored update cannot resolve; the cheapest letter's own
+        # capacity, widened by what that mass can add, certifies instead
+        ch = _edge_channel([0.0, 1.0, 2.0])
+        alone = constrained_capacity(ch, 0.0)
+        result = constrained_capacity(ch, 1e-300)
+        assert result.certified
+        assert result.capacity_bits == alone.capacity_bits
+        assert alone.gap_certificate_bits[1] < result.gap_certificate_bits[1] < 1e-290

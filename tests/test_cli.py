@@ -91,17 +91,25 @@ class TestCapacityCommand:
         assert report["result"]["capacity_bits"] == pytest.approx(1.0, abs=1e-6)
         assert report["result"]["constraint_active"] is False
         assert report["result"]["termination"] == "gap_reached"
+        assert report["result"]["certified"] is True
+        assert report["result"]["iterations"] >= 1
         assert report["input"]["sha256"]
 
-    def test_budgeted_run(self, capsys, budget_file):
+    def test_budgeted_run(self, capsys, budget_file, tmp_path):
+        trace_path = tmp_path / "trace.csv"
         code, out, _ = run_cli(
-            capsys, ["capacity", "--channel", budget_file, "--cost-limit", "0.3"]
+            capsys, ["capacity", "--channel", budget_file, "--cost-limit", "0.3",
+                     "--trace", str(trace_path)]
         )
         assert code == 0
         report = json.loads(out)
         assert report["result"]["capacity_bits"] == pytest.approx(BUDGET_CAPACITY, abs=1e-5)
         assert report["result"]["constraint_active"] is True
         assert report["result"]["expected_cost_units"] == pytest.approx(0.3, abs=1e-6)
+        assert report["result"]["certified"] is True
+        # one solve, one trace row per iteration
+        rows = trace_path.read_text().strip().splitlines()[1:]
+        assert report["result"]["iterations"] == len(rows) >= 1
 
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

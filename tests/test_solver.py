@@ -24,8 +24,9 @@ from cqcap import (
     unconstrained_capacity,
     upper_bound,
 )
-from cqcap.errors import EmptyTrace, SupportViolation
+from cqcap.errors import BadParams, EmptyTrace, SupportViolation
 from cqcap.hermitian import EIGENVALUE_REL, LN2
+from cqcap.solver import MIN_HEADROOM, TILT_TOL_REL, _tilt, _update
 from cqcap.oracle import DEFAULT_GRID_RESOLUTION, GridSpec, grid_capacity
 from helpers import (
     BSC_CAPACITY,
@@ -690,6 +691,56 @@ class TestClassicalBranch:
         assert shapes == [(3, 3)] * (res.iterations + res.rejected_steps)
 
 
+class TestBudgetedLoop:
+    """A finite cost_limit tilts every step onto the budget."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tilt_meets_the_budget_from_any_warm_start(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        log_p = np.log(rng.dirichlet(np.ones(n)))
+        div = 5.0 * rng.random(n)
+        costs = rng.random(n)
+        costs[rng.integers(n)] = 0.0
+        powers = np.stack((np.ones(n), costs, costs ** 2))
+        gamma = float(rng.choice([1.0, 7.3, 64.0]))
+        free = float(costs @ _update(log_p, div, gamma))
+        for budget in (free * 10.0 ** -rng.uniform(0.1, 9.0), 2.0 * free):
+            for warm in (0.0, 1e-3, 1.0, 1e3):
+                nu, w, log_z, cost = _tilt(log_p, div, gamma, powers, budget, warm)
+                # a numpy scalar would leak into the bounds and the JSON report
+                assert type(nu) is float
+                assert np.array_equal(w, _update(log_p, div - nu * costs, gamma))
+                assert w.min() > 0.0
+                assert float(costs @ w) <= budget * (1.0 + 1e-14)
+                if nu == 0.0:
+                    assert free <= budget * (1.0 + 1e-14)
+                else:
+                    assert budget * (1.0 - TILT_TOL_REL) <= cost <= budget
+                top = log_p + gamma * (div - nu * costs)
+                assert log_z == pytest.approx(math.log(np.exp(top).sum()), abs=1e-12)
+
+    def test_budgeted_solve_certifies_a_feasible_distribution(self):
+        ch = CqChannel(random_channel(4, 3, 5, "mixed").states, [0.3, 1.0, 0.4, 2.0])
+        res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8, cost_limit=0.5))
+        assert res.termination is TerminationReason.GAP_REACHED
+        assert res.upper_bits - res.lower_bits <= 1e-8
+        assert res.expected_cost <= 0.5 and res.budget_binds
+        # the returned distribution's Holevo value carries the lower bound
+        assert res.value_bits >= res.lower_bits - 1e-12
+        assert len(trace) == res.iterations
+
+    def test_rejects_a_budget_it_cannot_resolve(self):
+        with pytest.raises(ValueError, match="cost_limit"):
+            SolverConfig(cost_limit=math.nan)
+        with pytest.raises(ValueError, match="no fixed multiplier"):
+            SolverConfig(multiplier=1.0, cost_limit=0.5)
+        ch = CqChannel(random_channel(3, 2, 1, "mixed").states, [0.0, 1.0, 2.0])
+        for budget in (0.0, MIN_HEADROOM):
+            with pytest.raises(BadParams, match="headroom"):
+                solve_fixed_lambda(ch, SolverConfig(cost_limit=budget))
+
+
 class TestRateDiagnostics:
     def test_converged_run_is_sublinear(self):
         ch = random_channel(3, 2, 71, "mixed")
@@ -730,4 +781,13 @@ class TestSolverConfig:
                      lambda: upper_bound(ch, multiplier, state),
                      lambda: surrogate_objective(ch, multiplier, state.probs, state.probs)):
             with pytest.raises(ValueError, match="multiplier must be finite and nonnegative"):
+                call()
+        # a finite multiplier whose penalty overflows is rejected the same way
+        ch = CqChannel(random_channel(3, 2, 1, "mixed").states, [0, 1e10, 2e10])
+        state = make_iteration_state(ch, [0.2, 0.3, 0.5])
+        for call in (lambda: ba_step(ch, 1e300, state),
+                     lambda: upper_bound(ch, 1e300, state),
+                     lambda: surrogate_objective(ch, 1e300, state.probs, state.probs),
+                     lambda: solve_fixed_lambda(ch, SolverConfig(multiplier=1e300))):
+            with pytest.raises(ValueError, match="multiplier 1e\\+300 makes a penalty"):
                 call()

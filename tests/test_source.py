@@ -4,6 +4,7 @@ import ast
 import contextlib
 import io
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,26 @@ def test_no_runtime_asserts_or_debug_switches():
                 offenders.append(f"{path.name}:{node.lineno}: assert")
             elif isinstance(node, ast.Name) and node.id == "__debug__":
                 offenders.append(f"{path.name}:{node.lineno}: __debug__")
+    assert offenders == []
+
+
+def test_top_level_imports_stay_cheap():
+    # importing cqcap and its CLI is part of every command's start-up, so a
+    # module imports only the standard library, numpy and its own package
+    # at top level
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    offenders = []
+    for path in sorted(SOURCE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}: {root}" for root in roots
+                          if root not in allowed]
     assert offenders == []
 
 
