@@ -99,7 +99,6 @@ def _result_payload(result: CapacityResult) -> dict:
         "expected_cost_units": result.expected_cost,
         "constraint_active": result.constraint_active,
         "gap_certificate_bits": list(result.gap_certificate_bits),
-        "outer_iterations": result.outer_iterations,
         "termination": result.termination.value,
         "iterations": result.iterations,
         "certified": result.certified,

@@ -86,6 +86,8 @@ def grid_capacity(ch: CqChannel, spec: GridSpec, cost_limit: float | None = None
 
     Evaluates the Holevo quantity (minus the cost penalty in fixed-multiplier
     mode) on every grid point, skipping points over ``cost_limit`` when given.
+    When that leaves no point with mass on a costlier letter than the
+    cheapest, the slack also covers the mass the budget lets them carry.
     A grid of more than ``MAX_GRID_POINTS`` points is refused before any is
     built.
     """
@@ -110,10 +112,21 @@ def grid_capacity(ch: CqChannel, spec: GridSpec, cost_limit: float | None = None
     scale += float(ch.letter_entropies_nats.max()) / LN2 + 1.0
     if spec.penalty_multiplier is not None:
         scale += abs(spec.penalty_multiplier) * float(ch.costs.max())
+    slack = scale / spec.resolution
+    cheapest = float(ch.costs.min())
+    costlier = ch.costs > cheapest
+    if cost_limit is not None and costlier.any() and not points[:, costlier].any():
+        # the budget leaves the costlier letters less mass than one grid step,
+        # but a feasible p may still put q = headroom / gap on them, which adds
+        # at most q log2(dim) + h(q) bits to the cheapest letters' value
+        q = min(1.0, (cost_limit - cheapest) / float(ch.costs[costlier].min() - cheapest))
+        h = min(q, 0.5)
+        if h > 0.0:
+            slack += q * math.log2(ch.dim) - h * math.log2(h) - (1.0 - h) * math.log2(1.0 - h)
     return GridResult(
         value_bits=float(values[best]),
         argmax=InputDistribution(points[best]),
-        slack_bits=scale / spec.resolution,
+        slack_bits=slack,
     )
 
 

@@ -56,9 +56,12 @@ every q, and mu (S - c.q) >= 0 for a feasible q, so the line bounds the
 budgeted optimum for any mu >= 0; each step takes the better of mu = 0 and
 mu = nu. The extrapolated step is tilted onto the budget too.
 Costs enter shifted so the cheapest is zero, which changes no update and no
-bound; a budget must exceed it by ``MIN_HEADROOM`` of the cost range, below
-which the floored update cannot thin the costlier letters enough, and a
-budget at or above the costliest cost runs the fixed-multiplier loop.
+bound, and a budget at or above the costliest cost runs the fixed-multiplier
+loop. A budget within ``MIN_HEADROOM`` of the cost range above the cheapest,
+too little for the floored update to thin the costlier letters, is the limit
+nu = inf: the costlier letters get zero mass from the first update on, and
+the upper bound adds the q log2(dim) + h(q) bits (h, the binary entropy) that
+the mass q <= headroom / (next cost) that a feasible p leaves them can carry.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ from .channel import (
     holevo_quantity,
     kl_divergence_bits,
 )
-from .errors import BadParams, EmptyTrace, SupportViolation
+from .errors import EmptyTrace, InfeasibleCost, SupportViolation
 from .hermitian import LN2
 
 STALL_TOL_BITS = 1e-14
@@ -197,8 +200,9 @@ class FixedLambdaResult:
     ``value_bits`` is the penalized Holevo value at the final distribution;
     ``[lower_bits, upper_bits]`` is the certified interval for the optimum,
     the best bounds of any step. ``multiplier`` is the configured one, or
-    that of the best upper bound's dual line; ``budget_binds`` says that a
-    step had to be tilted and the returned distribution costs the budget.
+    that of the best upper bound's dual line, inf for the infinite tilt;
+    ``budget_binds`` says that a step had to be tilted and the returned
+    distribution costs the budget, or that the tilt is infinite.
     ``rejected_steps`` counts the extrapolated steps that lost ascent and
     were replaced by the plain update; the run took ``iterations +
     rejected_steps + 1`` spectra of a mixture, the last a values-only one in
@@ -285,9 +289,9 @@ def upper_bound(ch: CqChannel, multiplier: float, state: IterationState) -> floa
 
 
 def _tilt(log_p, div, gamma, powers, budget, nu):
-    """The update p ~ p exp(gamma (div - nu c)) tilted onto the budget (module docstring).
+    """The tilt nu that puts the update p ~ p exp(gamma (div - nu c)) on the budget.
 
-    Returns nu, the update, its log Z and its expected cost, from the stack
+    Returns nu, the update's log Z and its expected cost, from the stack
     ``powers`` of 1, c and c^2. Newton steps on the log of the cost, which
     falls with nu at gamma times its variance, start from the warm ``nu`` and
     stay inside the bracket of the tilts seen, or bisect it; after
@@ -327,8 +331,7 @@ def _tilt(log_p, div, gamma, powers, budget, nu):
             new = ((0.0 if lo < 0.0 else 0.5 * (lo + hi)) if hi < math.inf
                    else 2.0 * lo + 1.0 / float(powers[1].max()))
         step, nu = abs(new - nu), new
-    nu, log_z, cost = fit
-    return nu, _update(log_p, div - nu * powers[1], gamma), log_z, cost
+    return fit
 
 
 def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
@@ -346,8 +349,7 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
     iteration cap. A custom ``initial`` distribution must be strictly
     positive: a zero-mass letter can never regain mass, which would silently
     solve a sub-channel.
-    A budget within ``MIN_HEADROOM`` of the cost range above the cheapest
-    cost raises ``BadParams``.
+    A budget below the cheapest letter cost raises ``InfeasibleCost``.
     """
     if initial is None:
         start = np.full(ch.size, 1.0 / ch.size)
@@ -358,25 +360,39 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
     penalty_nats = _penalty_nats(ch, config.multiplier)
     cheapest, costliest = float(ch.costs.min()), float(ch.costs.max())
     budgeted = config.cost_limit < costliest
+    nu = 0.0
     if budgeted:
         # shifted costs: the cheapest letters cost zero, the budget is the headroom
         budget = config.cost_limit - cheapest
-        if not budget > MIN_HEADROOM * (costliest - cheapest):
-            raise BadParams(f"budget {config.cost_limit!r} leaves no headroom above the "
-                            f"cheapest cost {cheapest!r}: only the cheapest letters fit it")
+        if budget < 0.0:
+            raise InfeasibleCost(f"budget {config.cost_limit!r} below the cheapest "
+                                 f"letter cost {cheapest!r}")
         costs = ch.costs - cheapest
         powers = np.stack((np.ones(ch.size), costs, np.square(costs)))
+        if not budget > MIN_HEADROOM * (costliest - cheapest):
+            # the infinite tilt (module docstring); h peaks at q = 1/2
+            nu, costlier = math.inf, costs > 0.0
+            q = min(1.0, budget / float(costs[costlier].min()))
+            h = min(q, 0.5)
+            widen = (q * math.log2(ch.dim) - (h * math.log(h) + (1.0 - h) * math.log1p(-h)) / LN2
+                     if q > 0.0 else 0.0)
 
-    def evaluate(w, nu=0.0):
-        # what the loop reads of a state: log w, div, gain, the excess, the
-        # step value (nats), and for a budget the tilt and the update it makes
+    def evaluate(w, nu):
+        # what the loop reads of a state: log w, div, the gain of the plain
+        # update, the excess, the step value (nats) and the tilt
         _, div, excess = _spectral_terms(ch, w)
-        log_w = np.log(w)
         if not budgeted:
+            log_w = np.log(w)
             gain = div - penalty_nats
-            return log_w, div, gain, excess, _log_partition(log_w + gain), 0.0, None
-        nu, plain, log_z, cost = _tilt(log_w, div, 1.0, powers, budget, nu)
-        return log_w, div, div - nu * powers[1], excess, log_z + nu * cost, nu, plain
+            return log_w, div, gain, excess, _log_partition(log_w + gain), 0.0
+        if nu == math.inf:
+            # the costlier letters have zero mass after the first update
+            log_w = np.log(w, out=np.full(ch.size, -math.inf), where=w > 0.0)
+            gain = np.where(costlier, -math.inf, div)
+            return log_w, div, gain, excess, _log_partition(log_w + gain), nu
+        log_w = np.log(w)
+        nu, log_z, cost = _tilt(log_w, div, 1.0, powers, budget, nu)
+        return log_w, div, div - nu * powers[1], excess, log_z + nu * cost, nu
 
     gamma = 1.0
     trace = IterationTrace()
@@ -384,17 +400,21 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
     lower, upper, multiplier = -math.inf, math.inf, config.multiplier
     tilted = False
     p = start
-    log_p, div, gain, excess, log_z, nu, plain = evaluate(p)
+    log_p, div, gain, excess, log_z, nu = evaluate(p, nu)
     while True:
         bound_bits = (float(gain.max()) + excess) / LN2
         value_bits = log_z / LN2
         iterations += 1
         mu = config.multiplier
         if nu > 0.0:
-            # a tilted step's bound: its dual line at mu = nu, or the one at 0
-            tilted, free = True, (float(div.max()) + excess) / LN2
-            bound_bits += nu * budget / LN2
-            bound_bits, mu = (bound_bits, nu / LN2) if bound_bits < free else (free, 0.0)
+            tilted = True
+            if nu < math.inf:
+                # a tilted step's bound: its dual line at mu = nu, or the one at 0
+                free = (float(div.max()) + excess) / LN2
+                bound_bits += nu * budget / LN2
+                bound_bits, mu = (bound_bits, nu / LN2) if bound_bits < free else (free, 0.0)
+            else:
+                bound_bits, mu = bound_bits + widen, nu
         moved = (value_bits - lower >= STALL_TOL_BITS
                  or upper - bound_bits >= STALL_TOL_BITS)
         if bound_bits < upper:
@@ -410,8 +430,11 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         else:
             reason = None
         if reason is None:
-            new_p = (_update(log_p, gain, gamma) if not budgeted else plain if gamma == 1.0
-                     else _tilt(log_p, div, gamma, powers, budget, nu)[1])
+            step = gain
+            # a finite tilt is solved again for the extrapolated proposal
+            if budgeted and gamma != 1.0 and nu < math.inf:
+                step = div - _tilt(log_p, div, gamma, powers, budget, nu)[0] * powers[1]
+            new_p = _update(log_p, step, gamma)
             terms = evaluate(new_p, nu)
             # at gamma = 1 the proposal is the plain update, which needs no test
             if terms[4] >= log_z or gamma == 1.0:
@@ -419,16 +442,16 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
             else:
                 rejected += 1
                 gamma = 1.0
-                new_p = _update(log_p, gain) if plain is None else plain
+                new_p = _update(log_p, gain)
                 terms = evaluate(new_p, nu)
         else:
-            new_p = _update(log_p, gain) if plain is None else plain
+            new_p = _update(log_p, gain)
         trace.record(value_bits, bound_bits, float(ch.costs @ p),
                      float(np.abs(new_p - p).sum()), p)
         p = new_p
         if reason is not None:
             break
-        log_p, div, gain, excess, log_z, nu, plain = terms
+        log_p, div, gain, excess, log_z, nu = terms
 
     probs = InputDistribution(p)
     expected_cost = float(ch.costs @ p)
@@ -442,7 +465,8 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         termination=reason,
         rejected_steps=rejected,
         multiplier=multiplier,
-        budget_binds=tilted and float(powers[1] @ p) >= budget * (1.0 - TILT_TOL_REL),
+        budget_binds=tilted and (nu == math.inf
+                                 or float(powers[1] @ p) >= budget * (1.0 - TILT_TOL_REL)),
     )
     return result, trace
 

@@ -240,11 +240,15 @@ class TestChordSearch:
         assert upper - lower <= 1e-4
         assert result.expected_cost <= budget + 1e-12
 
-    def test_set_valued_optimizer_needs_no_chord_solve(self):
+    def test_set_valued_optimizer_needs_no_chord_solve(self, monkeypatch):
+        calls = []
+        solve = cqcap.capacity.solve_fixed_lambda
+        monkeypatch.setattr(cqcap.capacity, "solve_fixed_lambda",
+                            lambda *args, **kw: calls.append(1) or solve(*args, **kw))
         rho = np.eye(2) / 2
         ch = CqChannel([rho, rho], costs=[0.0, 1.0])
         result = constrained_capacity(ch, 0.3, epsilon=1e-3, max_iter=5000)
-        assert len(result.evaluations) <= 3
+        assert len(calls) == 1
         assert result.expected_cost == pytest.approx(0.3, abs=1e-12)
 
     def test_grid_oracle_inside_certificate(self):
@@ -290,7 +294,8 @@ class TestUnconstrainedIsInfiniteBudget:
                 assert loose.capacity_bits == free.capacity_bits
                 assert loose.gap_certificate_bits == free.gap_certificate_bits
                 assert np.array_equal(loose.probs.probs, free.probs.probs)
-                assert loose.evaluations == free.evaluations
+                assert loose.multiplier == free.multiplier
+                assert loose.expected_cost == free.expected_cost
                 assert loose.termination is free.termination
                 assert len(loose.trace) == len(free.trace)
 

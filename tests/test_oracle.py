@@ -7,6 +7,7 @@ from cqcap import (
     GridSpec,
     SolverConfig,
     classical_ba,
+    constrained_capacity,
     diagonal_transition_matrix,
     grid_capacity,
     holevo_quantity,
@@ -50,6 +51,22 @@ class TestGridCapacity:
         assert float(result.argmax.probs[1]) <= 0.3 + 1e-12
         with pytest.raises(NoFeasibleGridPoint):
             grid_capacity(CqChannel(ch.states, [2.0, 3.0]), GridSpec(100), cost_limit=1.0)
+
+    def test_slack_covers_a_budget_below_one_grid_step(self):
+        # a budget 1e-3 of the cost range above the cheapest cost: every grid
+        # point with mass on a costlier letter costs too much, yet a feasible
+        # distribution may put up to 1.6e-3 of mass there
+        ch = CqChannel(random_channel(3, 2, 1, "pure").states, [0.2, 0.7, 1.0])
+        budget = 0.2008
+        result = grid_capacity(ch, GridSpec(200), cost_limit=budget)
+        certified = constrained_capacity(ch, budget, epsilon=1e-8)
+        lower, upper = certified.gap_certificate_bits
+        assert lower - result.slack_bits <= result.value_bits <= upper + result.slack_bits
+        # a budget that only the cheapest letter fits, or under which a costlier
+        # letter keeps a grid point, keeps the slack
+        free = grid_capacity(ch, GridSpec(200)).slack_bits
+        for budget in (0.2, 0.2025, 0.5):
+            assert grid_capacity(ch, GridSpec(200), cost_limit=budget).slack_bits == free
 
     def test_penalty_mode(self):
         ch = orthogonal_channel(2, costs=[0.0, 1.0])

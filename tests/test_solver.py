@@ -24,9 +24,9 @@ from cqcap import (
     unconstrained_capacity,
     upper_bound,
 )
-from cqcap.errors import BadParams, EmptyTrace, SupportViolation
+from cqcap.errors import EmptyTrace, InfeasibleCost, SupportViolation
 from cqcap.hermitian import EIGENVALUE_REL, LN2
-from cqcap.solver import MIN_HEADROOM, TILT_TOL_REL, _tilt, _update
+from cqcap.solver import TILT_TOL_REL, _tilt, _update
 from cqcap.oracle import DEFAULT_GRID_RESOLUTION, GridSpec, grid_capacity
 from helpers import (
     BSC_CAPACITY,
@@ -707,10 +707,10 @@ class TestBudgetedLoop:
         free = float(costs @ _update(log_p, div, gamma))
         for budget in (free * 10.0 ** -rng.uniform(0.1, 9.0), 2.0 * free):
             for warm in (0.0, 1e-3, 1.0, 1e3):
-                nu, w, log_z, cost = _tilt(log_p, div, gamma, powers, budget, warm)
+                nu, log_z, cost = _tilt(log_p, div, gamma, powers, budget, warm)
                 # a numpy scalar would leak into the bounds and the JSON report
                 assert type(nu) is float
-                assert np.array_equal(w, _update(log_p, div - nu * costs, gamma))
+                w = _update(log_p, div - nu * costs, gamma)
                 assert w.min() > 0.0
                 assert float(costs @ w) <= budget * (1.0 + 1e-14)
                 if nu == 0.0:
@@ -735,10 +735,31 @@ class TestBudgetedLoop:
             SolverConfig(cost_limit=math.nan)
         with pytest.raises(ValueError, match="no fixed multiplier"):
             SolverConfig(multiplier=1.0, cost_limit=0.5)
-        ch = CqChannel(random_channel(3, 2, 1, "mixed").states, [0.0, 1.0, 2.0])
-        for budget in (0.0, MIN_HEADROOM):
-            with pytest.raises(BadParams, match="headroom"):
+        ch = CqChannel(random_channel(3, 2, 1, "mixed").states, [0.2, 0.7, 1.0])
+        for budget in (0.2 - 1e-12, -math.inf):
+            with pytest.raises(InfeasibleCost, match="below the cheapest"):
                 solve_fixed_lambda(ch, SolverConfig(cost_limit=budget))
+
+    @pytest.mark.parametrize("costs, budget", [
+        ([0.2, 0.7, 1.0], 0.2),
+        ([0.0, 0.0, 1.0], 0.0),
+        ([0.0, 1.0, 2.0], 1e-300 * 2.0),
+    ], ids=["at-cheapest", "at-tied-cheapest", "headroom-1e-300"])
+    def test_infinite_tilt_certifies_on_the_full_channel(self, costs, budget):
+        # too little headroom for any finite tilt: the costlier letters get
+        # zero mass from the first update on, and the cheapest letters certify
+        ch = CqChannel(random_channel(3, 2, 1, "mixed").states, costs)
+        eps = 1e-8
+        res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=eps, cost_limit=budget))
+        costlier = ch.costs > ch.costs.min()
+        assert res.termination is TerminationReason.GAP_REACHED
+        assert res.upper_bits - res.lower_bits <= eps
+        assert np.all(res.probs.probs[costlier] == 0.0)
+        assert res.expected_cost <= budget
+        assert res.multiplier == math.inf and res.budget_binds
+        assert len(trace) == res.iterations
+        assert all(iterate.size == ch.size for iterate in trace.iterates)
+        assert all(np.all(iterate[costlier] == 0.0) for iterate in trace.iterates[1:])
 
 
 class TestRateDiagnostics:

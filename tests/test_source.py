@@ -99,6 +99,18 @@ def test_solver_has_one_divergence_and_one_holevo_path():
     assert sorted(names & forbidden) == []
 
 
+def test_capacity_is_one_solve_on_the_callers_channel():
+    # every budget, the cheapest cost included, is the solver's to meet: the
+    # capacity layer builds no sub-channel and knows no headroom threshold
+    path = SOURCE_DIR / "capacity.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    called = [node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert "CqChannel" not in called
+    assert called.count("solve_fixed_lambda") == 1
+    assert "MIN_HEADROOM" not in _names(path)
+
+
 def _names(path):
     """Every attribute, name and imported name the module mentions."""
     names = set()
