@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# holevo_quantity stays in this namespace but is not called: the solver's
-# value at multiplier zero already is the Holevo value of its distribution
-from .channel import CqChannel, InputDistribution, holevo_quantity
+from .channel import CqChannel, InputDistribution
 from .errors import BadParams
 from .solver import IterationTrace, SolverConfig, TerminationReason, solve_fixed_lambda
 

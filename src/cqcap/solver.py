@@ -30,7 +30,7 @@ returns: p ~ p exp(gamma gain), normalized by its sum, the log-weights of
 positive letters floored at ``LOG_WEIGHT_FLOOR`` below the largest, so none
 underflows to zero mass, which it could never regain. gamma = 1 is the plain
 update T (the floor moves at most exp(-700) of mass per letter), as in
-``ba_step``. So every iterate and returned distribution is strictly positive.
+``ba_step``. Only an infinite penalty (the infinite tilt below) zeroes a letter.
 
 The solver steps further than T when that keeps the ascent: from a state s
 it proposes gamma > 1 (the extrapolated step of Matz and Duhamel) and keeps
@@ -41,27 +41,27 @@ state, valid at any distribution, so the certificate does not depend on
 which update led there. A run that stops at s returns T(s), whose penalized
 Holevo value is at least log Z(s), so it carries the lower bound.
 
-A budget S on the expected cost c.p (``SolverConfig.cost_limit``) is met
-inside the step, as in Blahut's and Arimoto's constrained iterations: the
-p-step maximizes f(q, p) over the q with c.q <= S, so it is the tilted
-update T_nu(p) ~ p exp(D - nu c), with nu = 0 when T_0 fits and otherwise
-c.T_nu = S, found by ``_tilt`` from the feasible side. Both bounds still
-come from one kernel call. The lower bound is f(T_nu, p) = log Z_nu + nu
-c.T_nu: as for the plain update, f(q, p) is at most the Holevo value of q
-at any p, and T_nu meets the budget, whatever nu is. So the tilt's
-tolerance (``TILT_TOL_REL`` of the budget) changes only how tight it is,
-never whether it holds. The upper bound is a dual line U(mu) + mu S, with
-U(mu) = max_x (D_x - mu c_x) + excess: U(mu) bounds chi(q) - mu c.q at
-every q, and mu (S - c.q) >= 0 for a feasible q, so the line bounds the
-budgeted optimum for any mu >= 0; each step takes the better of mu = 0 and
-mu = nu. The extrapolated step is tilted onto the budget too.
-Costs enter shifted so the cheapest is zero, which changes no update and no
-bound, and a budget at or above the costliest cost runs the fixed-multiplier
-loop. A budget within ``MIN_HEADROOM`` of the cost range above the cheapest,
-too little for the floored update to thin the costlier letters, is the limit
-nu = inf: the costlier letters get zero mass from the first update on, and
-the upper bound adds the q log2(dim) + h(q) bits (h, the binary entropy) that
-the mass q <= headroom / (next cost) that a feasible p leaves them can carry.
+A run chooses its step rule before its loop: a fixed penalty vector, or a
+tilt solved onto the budget at each step. A budget S on the expected cost
+c.p (``SolverConfig.cost_limit``) is met inside the step, as in Blahut's and
+Arimoto's constrained iterations: the p-step maximizes f(q, p) over the q
+with c.q <= S, so it is the tilted update T_nu(p) ~ p exp(D - nu c), with
+nu = 0 when T_0 fits and otherwise c.T_nu = S, found by ``_tilt`` from the
+feasible side; the extrapolated step is tilted too. The lower bound is
+f(T_nu, p) = log Z_nu + nu c.T_nu: f(q, p) is at most the Holevo value of q
+at any p, and T_nu meets the budget whatever nu is, so the tilt's tolerance
+(``TILT_TOL_REL`` of the budget) sets only how tight it is. The upper bound
+is the step's dual line U(nu) + nu S, U(mu) = max_x (D_x - mu c_x) + excess:
+U(mu) bounds chi(q) - mu c.q at every q, and mu (S - c.q) >= 0 for a
+feasible q. Costs enter shifted so the cheapest is zero, which changes no
+update and no bound. A fixed multiplier mu, or a budget at or above the
+costliest cost (mu = 0), is the fixed penalty mu c. A budget within
+``MIN_HEADROOM`` of the cost range above the cheapest, too little for the
+floored update to thin the costlier letters, is the limit nu = inf: the
+fixed penalty 0 on the cheapest letters and inf on the rest, whose mass is
+zero from the first update on. Its bound adds the q log2(dim) + h(q) bits
+(h, the binary entropy) that the mass q <= headroom / (next cost) that a
+feasible p leaves them can carry.
 """
 
 from __future__ import annotations
@@ -199,10 +199,12 @@ class FixedLambdaResult:
 
     ``value_bits`` is the penalized Holevo value at the final distribution;
     ``[lower_bits, upper_bits]`` is the certified interval for the optimum,
-    the best bounds of any step. ``multiplier`` is the configured one, or
-    that of the best upper bound's dual line, inf for the infinite tilt;
-    ``budget_binds`` says that a step had to be tilted and the returned
-    distribution costs the budget, or that the tilt is infinite.
+    the best bounds of any step. ``multiplier`` is the mu of the best upper
+    bound's dual line: the configured one, that step's tilt, or inf for the
+    infinite tilt. A budgeted run's ``expected_cost`` is the cheapest cost
+    plus the shifted cost the tilt meets. ``budget_binds`` says that a step
+    had to be tilted and the returned distribution costs the budget, or that
+    the tilt is infinite.
     ``rejected_steps`` counts the extrapolated steps that lost ascent and
     were replaced by the plain update; the run took ``iterations +
     rejected_steps + 1`` spectra of a mixture, the last a values-only one in
@@ -337,10 +339,11 @@ def _tilt(log_p, div, gamma, powers, budget, nu):
 def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
     """Iterate from the uniform distribution until the certified gap closes.
 
-    Returns ``(FixedLambdaResult, IterationTrace)``. Each step takes the
-    extrapolated update when it keeps the ascent and the plain update
-    otherwise (module docstring); the trace records the steps taken, and the
-    returned distribution is the plain update of the last recorded state.
+    Returns ``(FixedLambdaResult, IterationTrace)``. The step rule is chosen
+    before the loop (module docstring). Each step takes the extrapolated
+    update when it keeps the ascent and the plain update otherwise; the trace
+    records the steps taken, and the returned distribution is the plain
+    update of the last recorded state.
     Every step value is a lower bound and every step's upper bound is one
     too, so the certified gap is the smallest upper bound seen minus the
     largest step value seen. Termination: that gap <= epsilon, a stall
@@ -360,7 +363,8 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
     penalty_nats = _penalty_nats(ch, config.multiplier)
     cheapest, costliest = float(ch.costs.min()), float(ch.costs.max())
     budgeted = config.cost_limit < costliest
-    nu = 0.0
+    # the run's step rule: a fixed penalty, or a tilt solved onto the budget at each step
+    solve_tilt, nu, widen, log_of = False, 0.0, 0.0, np.log
     if budgeted:
         # shifted costs: the cheapest letters cost zero, the budget is the headroom
         budget = config.cost_limit - cheapest
@@ -369,56 +373,50 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
                                  f"letter cost {cheapest!r}")
         costs = ch.costs - cheapest
         powers = np.stack((np.ones(ch.size), costs, np.square(costs)))
-        if not budget > MIN_HEADROOM * (costliest - cheapest):
-            # the infinite tilt (module docstring); h peaks at q = 1/2
-            nu, costlier = math.inf, costs > 0.0
+        if budget > MIN_HEADROOM * (costliest - cheapest):
+            solve_tilt = True
+        else:
+            # the infinite tilt (module docstring) penalizes the costlier letters
+            # by inf, so they have zero mass after the first update; h peaks at q = 1/2
+            costlier = costs > 0.0
+            penalty_nats, nu = np.where(costlier, math.inf, 0.0), math.inf
             q = min(1.0, budget / float(costs[costlier].min()))
             h = min(q, 0.5)
             widen = (q * math.log2(ch.dim) - (h * math.log(h) + (1.0 - h) * math.log1p(-h)) / LN2
                      if q > 0.0 else 0.0)
 
+            def log_of(w):
+                return np.log(w, out=np.full(ch.size, -math.inf), where=w > 0.0)
+
     def evaluate(w, nu):
-        # what the loop reads of a state: log w, div, the gain of the plain
-        # update, the excess, the step value (nats) and the tilt
+        # what the loop reads of a state: log w, div, the plain update's gain,
+        # the step value (nats), the dual-line upper bound (bits) and the tilt
+        log_w = log_of(w)
         _, div, excess = _spectral_terms(ch, w)
-        if not budgeted:
-            log_w = np.log(w)
+        if solve_tilt:
+            nu, log_z, cost = _tilt(log_w, div, 1.0, powers, budget, nu)
+            gain = div - nu * powers[1]
+            value, line = log_z + nu * cost, nu * budget / LN2
+        else:
             gain = div - penalty_nats
-            return log_w, div, gain, excess, _log_partition(log_w + gain), 0.0
-        if nu == math.inf:
-            # the costlier letters have zero mass after the first update
-            log_w = np.log(w, out=np.full(ch.size, -math.inf), where=w > 0.0)
-            gain = np.where(costlier, -math.inf, div)
-            return log_w, div, gain, excess, _log_partition(log_w + gain), nu
-        log_w = np.log(w)
-        nu, log_z, cost = _tilt(log_w, div, 1.0, powers, budget, nu)
-        return log_w, div, div - nu * powers[1], excess, log_z + nu * cost, nu
+            value, line = _log_partition(log_w + gain), widen
+        return log_w, div, gain, value, (float(gain.max()) + excess) / LN2 + line, nu
 
     gamma = 1.0
     trace = IterationTrace()
     iterations = rejected = stall_count = 0
-    lower, upper, multiplier = -math.inf, math.inf, config.multiplier
+    lower, upper, best_nu = -math.inf, math.inf, nu
     tilted = False
     p = start
-    log_p, div, gain, excess, log_z, nu = evaluate(p, nu)
+    log_p, div, gain, log_z, bound_bits, nu = evaluate(p, nu)
     while True:
-        bound_bits = (float(gain.max()) + excess) / LN2
         value_bits = log_z / LN2
         iterations += 1
-        mu = config.multiplier
-        if nu > 0.0:
-            tilted = True
-            if nu < math.inf:
-                # a tilted step's bound: its dual line at mu = nu, or the one at 0
-                free = (float(div.max()) + excess) / LN2
-                bound_bits += nu * budget / LN2
-                bound_bits, mu = (bound_bits, nu / LN2) if bound_bits < free else (free, 0.0)
-            else:
-                bound_bits, mu = bound_bits + widen, nu
+        tilted = tilted or nu > 0.0
         moved = (value_bits - lower >= STALL_TOL_BITS
                  or upper - bound_bits >= STALL_TOL_BITS)
         if bound_bits < upper:
-            multiplier = mu
+            best_nu = nu
         lower, upper = max(lower, value_bits), min(upper, bound_bits)
         stall_count = 0 if moved else stall_count + 1
         if upper - lower <= config.epsilon:
@@ -431,13 +429,13 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
             reason = None
         if reason is None:
             step = gain
-            # a finite tilt is solved again for the extrapolated proposal
-            if budgeted and gamma != 1.0 and nu < math.inf:
+            # a solved tilt is solved again for the extrapolated proposal
+            if solve_tilt and gamma != 1.0:
                 step = div - _tilt(log_p, div, gamma, powers, budget, nu)[0] * powers[1]
             new_p = _update(log_p, step, gamma)
             terms = evaluate(new_p, nu)
             # at gamma = 1 the proposal is the plain update, which needs no test
-            if terms[4] >= log_z or gamma == 1.0:
+            if terms[3] >= log_z or gamma == 1.0:
                 gamma = min(GAMMA_MAX, GAMMA_GROWTH * gamma)
             else:
                 rejected += 1
@@ -451,10 +449,11 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         p = new_p
         if reason is not None:
             break
-        log_p, div, gain, excess, log_z, nu = terms
+        log_p, div, gain, log_z, bound_bits, nu = terms
 
     probs = InputDistribution(p)
-    expected_cost = float(ch.costs @ p)
+    # the shifted cost the tilt meets, so a feasible distribution reports one
+    expected_cost = cheapest + float(powers[1] @ p) if budgeted else float(ch.costs @ p)
     result = FixedLambdaResult(
         probs=probs,
         value_bits=holevo_quantity(ch, probs) - config.multiplier * expected_cost,
@@ -464,7 +463,7 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         iterations=iterations,
         termination=reason,
         rejected_steps=rejected,
-        multiplier=multiplier,
+        multiplier=config.multiplier + best_nu / LN2,
         budget_binds=tilted and (nu == math.inf
                                  or float(powers[1] @ p) >= budget * (1.0 - TILT_TOL_REL)),
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cqcap.capacity
+import cqcap.solver
 from cqcap import (
     CqChannel,
     GridSpec,
@@ -51,16 +52,18 @@ class TestUnconstrainedCapacity:
 
     def test_multiplier_zero_exits_reuse_the_solver_value(self, monkeypatch):
         # the solver's value at multiplier zero is the Holevo value of its
-        # distribution, so no exit at multiplier zero computes it again
+        # distribution, so a capacity takes the one Holevo value of its solve
         calls = []
-        holevo = cqcap.capacity.holevo_quantity
-        monkeypatch.setattr(cqcap.capacity, "holevo_quantity",
+        holevo = cqcap.solver.holevo_quantity
+        monkeypatch.setattr(cqcap.solver, "holevo_quantity",
                             lambda *args: calls.append(args) or holevo(*args))
         for kind in ("pure", "mixed", "diagonal"):
             ch = CqChannel(random_channel(4, 3, 23, kind).states, [0.0, 1.0, 0.4, 2.0])
-            for result in (unconstrained_capacity(ch), constrained_capacity(ch, 2.0),
-                           constrained_capacity(ch, math.inf)):
-                assert calls == []
+            for solve in (unconstrained_capacity, lambda ch: constrained_capacity(ch, 2.0),
+                          lambda ch: constrained_capacity(ch, math.inf)):
+                calls.clear()
+                result = solve(ch)
+                assert len(calls) == 1
                 assert not result.constraint_active
                 assert abs(result.capacity_bits - holevo(ch, result.probs)) <= 1e-12
 
@@ -365,3 +368,12 @@ class TestBudgetEdgeCases:
         assert result.certified
         assert result.capacity_bits == alone.capacity_bits
         assert alone.gap_certificate_bits[1] < result.gap_certificate_bits[1] < 1e-290
+
+    @pytest.mark.parametrize("cheapest", [0.1, 0.3, 0.7, 1 / 3])
+    def test_cost_at_a_tied_cheapest_budget_stays_within_it(self, cheapest):
+        # the reported cost is the cheapest cost plus the shifted cost the tilt
+        # meets, so weights that sum to 1 +- an ulp cannot round it over S
+        for seed in range(40):
+            states = random_channel(4, 2, seed, "mixed").states
+            ch = CqChannel(states, [cheapest, cheapest, cheapest, 1.0])
+            assert constrained_capacity(ch, cheapest).expected_cost <= cheapest

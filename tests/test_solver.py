@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import cqcap.solver
 from cqcap import (
     CqChannel,
     SolverConfig,
@@ -719,6 +720,49 @@ class TestBudgetedLoop:
                     assert budget * (1.0 - TILT_TOL_REL) <= cost <= budget
                 top = log_p + gamma * (div - nu * costs)
                 assert log_z == pytest.approx(math.log(np.exp(top).sum()), abs=1e-12)
+
+    def test_tilt_far_below_the_top_reevaluates_shifted(self):
+        # the cheapest letter sits 300 nats below the top, so the budget puts
+        # every weight near exp(-300) < 1e-100, where the tilt shifts them up
+        log_p = np.log(np.full(3, 1.0 / 3.0))
+        div = np.array([0.0, 300.0, 300.0])
+        costs = np.array([0.0, 1.0, 2.0])
+        powers = np.stack((np.ones(3), costs, costs ** 2))
+        budget = 0.5
+        nu, log_z, cost = _tilt(log_p, div, 1.0, powers, budget, 0.0)
+        assert type(nu) is float
+        assert budget * (1.0 - TILT_TOL_REL) <= cost <= budget
+        w = _update(log_p, div - nu * costs)
+        assert w.min() > 0.0 and float(costs @ w) <= budget * (1.0 + 1e-14)
+        top = log_p + div - nu * costs
+        assert log_z == pytest.approx(top.max() + math.log(np.exp(top - top.max()).sum()),
+                                      abs=1e-12)
+
+    def test_tilt_out_of_evaluations_stays_feasible(self, monkeypatch):
+        # a tilt that runs out of evaluations takes its bracket's feasible end,
+        # which loosens the step value but never the certificate
+        monkeypatch.setattr(cqcap.solver, "TILT_MAX_EVALS", 2)
+        for seed, costs, budget in [(1, [0.2, 0.7, 1.0], 0.5), (5, [0.3, 1.0, 0.4], 0.35),
+                                    (23, [0.1, 1.0, 0.4], 0.2)]:
+            ch = CqChannel(random_channel(3, 2, seed, "mixed").states, costs)
+            res, _ = solve_fixed_lambda(ch, SolverConfig(cost_limit=budget, max_iter=20000))
+            assert res.expected_cost <= budget
+            grid = grid_capacity(ch, GridSpec(DEFAULT_GRID_RESOLUTION[3]), cost_limit=budget)
+            assert (res.lower_bits - grid.slack_bits <= grid.value_bits
+                    <= res.upper_bits + grid.slack_bits)
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed", "diagonal"])
+    def test_bound_is_the_dual_line_at_the_best_steps_multiplier(self, kind):
+        # each step's bound is U(mu) + mu S at its own tilt, so the certified
+        # one is the public upper_bound at the reported multiplier plus mu S
+        ch = CqChannel(random_channel(4, 3, 11, kind).states, [0.3, 1.0, 0.4, 2.0])
+        for budget in (0.35, 0.5, 0.8):
+            res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8, cost_limit=budget))
+            assert 0.0 < res.multiplier < math.inf
+            k = int(np.argmin(trace.upper_bits))
+            state = make_iteration_state(ch, trace.iterates[k])
+            line = upper_bound(ch, res.multiplier, state) + res.multiplier * budget
+            assert abs(res.upper_bits - line) <= 1e-10
 
     def test_budgeted_solve_certifies_a_feasible_distribution(self):
         ch = CqChannel(random_channel(4, 3, 5, "mixed").states, [0.3, 1.0, 0.4, 2.0])

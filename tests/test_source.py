@@ -86,17 +86,19 @@ def test_oracles_stay_off_the_solver_basis():
 def test_solver_has_one_divergence_and_one_holevo_path():
     # divergences come only from the step kernel on the support stack, and
     # the final value only from holevo_quantity
-    path = SOURCE_DIR / "solver.py"
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-        if isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
     forbidden = {"state_stack", "output_state", "log_on_support", "_holevo_bits", "einsum"}
-    assert sorted(names & forbidden) == []
+    assert sorted(_names(_module(SOURCE_DIR / "solver.py")) & forbidden) == []
+
+
+def test_solve_loop_knows_no_run_mode():
+    # the step rule (a fixed penalty or a solved tilt) is chosen before the
+    # loop and applied in its evaluation, so the loop neither widens a bound
+    # nor tests for the infinite tilt
+    tree = _module(SOURCE_DIR / "solver.py")
+    solve = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "solve_fixed_lambda")
+    loop = next(node for node in ast.walk(solve) if isinstance(node, ast.While))
+    assert sorted(_names(loop) & {"widen", "inf"}) == []
 
 
 def test_capacity_is_one_solve_on_the_callers_channel():
@@ -108,13 +110,17 @@ def test_capacity_is_one_solve_on_the_callers_channel():
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
     assert "CqChannel" not in called
     assert called.count("solve_fixed_lambda") == 1
-    assert "MIN_HEADROOM" not in _names(path)
+    assert "MIN_HEADROOM" not in _names(tree)
 
 
-def _names(path):
-    """Every attribute, name and imported name the module mentions."""
+def _module(path):
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _names(tree):
+    """Every attribute, name and imported name mentioned under an AST node."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.Name):
@@ -130,7 +136,7 @@ def test_solver_leaves_the_support_layout_to_the_channel():
     assert cqcap.solver._spectral_terms.__module__ == "cqcap.channel"
     forbidden = {"eigh", "eigvalsh", "_packed_support", "_outside_mass", "_support_mixture",
                  "support_stack", "EIGENVALUE_REL"}
-    assert sorted(_names(SOURCE_DIR / "solver.py") & forbidden) == []
+    assert sorted(_names(_module(SOURCE_DIR / "solver.py")) & forbidden) == []
 
 
 def test_readme_quick_start_runs_and_prints_the_documented_values():
