@@ -160,7 +160,7 @@ class CqChannel:
 
     @property
     def dim(self) -> int:
-        return self._states[0].dim
+        return self._state_stack.shape[1]
 
     @property
     def state_stack(self) -> np.ndarray:

@@ -8,6 +8,7 @@ parameter errors, 3 solver errors, 4 oracle disagreement.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -28,7 +29,6 @@ from .channel import (
 )
 from .errors import BadParams, CqcapError
 from .oracle import DEFAULT_GRID_RESOLUTION, MAX_GRID_ALPHABET, GridSpec, grid_capacity
-from .solver import IterationTrace
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -81,14 +81,19 @@ def _load(path: str) -> tuple[CqChannel, str]:
     return channel, digest
 
 
-def _write_trace_csv(trace: IterationTrace, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "f_bits", "lower_bits", "upper_bits", "expected_cost", "l1_step"])
-        rows = zip(trace.steps, trace.objective_bits, trace.lower_bits,
-                   trace.upper_bits, trace.expected_cost, trace.l1_step)
-        for step, objective, lower, upper, cost, l1 in rows:
-            writer.writerow([step] + [_format_float(v) for v in (objective, lower, upper, cost, l1)])
+def _write_trace_csv(fh, result: CapacityResult, costs: np.ndarray) -> None:
+    """The solve's trace as CSV; each step's cost and l1 move are derived from its iterate."""
+    trace = result.trace
+    # the last step moves to the returned distribution
+    moves = np.abs(np.diff(np.vstack(trace.iterates + [result.probs.probs]), axis=0)).sum(axis=1)
+    writer = csv.writer(fh)
+    writer.writerow(["t", "f_bits", "lower_bits", "upper_bits", "expected_cost", "l1_step"])
+    rows = zip(trace.objective_bits, trace.lower_bits, trace.upper_bits, trace.iterates,
+               moves.tolist())
+    for step, (objective, lower, upper, iterate, l1) in enumerate(rows):
+        # one dot product per row: a stacked one can differ in the last bit
+        cost = float(costs @ iterate)
+        writer.writerow([step] + [_format_float(v) for v in (objective, lower, upper, cost, l1)])
 
 
 def _result_payload(result: CapacityResult) -> dict:
@@ -118,24 +123,28 @@ def cmd_capacity(args) -> int:
     try:
         _check_capacity_args(args)
         channel, digest = _load(args.channel)
+        # opened now, so that a path it cannot write fails before the solve
+        trace_file = (contextlib.nullcontext() if args.trace is None
+                      else open(args.trace, "w", newline="", encoding="utf-8"))
     except PARSE_ERRORS as exc:
         _emit_error(exc)
         return EXIT_PARSE
     # no budget is an infinite one
     budget = math.inf if args.cost_limit is None else args.cost_limit
-    started = time.perf_counter()
     try:
-        result = constrained_capacity(channel, budget, epsilon=args.eps, max_iter=args.max_iter)
+        with trace_file as fh:
+            started = time.perf_counter()
+            result = constrained_capacity(channel, budget, epsilon=args.eps,
+                                          max_iter=args.max_iter)
+            elapsed = time.perf_counter() - started
+            if fh is not None:
+                _write_trace_csv(fh, result, channel.costs)
     except CqcapError as exc:
         _emit_error(exc)
         return EXIT_SOLVER
-    elapsed = time.perf_counter() - started
-    if args.trace is not None:
-        try:
-            _write_trace_csv(result.trace, args.trace)
-        except OSError as exc:
-            _emit_error(exc)
-            return EXIT_PARSE
+    except OSError as exc:
+        _emit_error(exc)
+        return EXIT_PARSE
     report = {
         "input": {"path": args.channel, "sha256": digest},
         "config": {

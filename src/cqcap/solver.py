@@ -163,31 +163,20 @@ class IterationState:
 
 @dataclass
 class IterationTrace:
-    """Recorded per-step diagnostics; ``divergence_to_final_bits`` is filled post hoc."""
+    """Per step, what the solve loop computes, appended by the loop alone.
+
+    ``objective_bits`` and ``upper_bits`` hold each step's value and upper
+    bound in bits, ``iterates`` the distribution the step starts from.
+    """
 
     objective_bits: list = field(default_factory=list)
     upper_bits: list = field(default_factory=list)
-    expected_cost: list = field(default_factory=list)
-    l1_step: list = field(default_factory=list)
     iterates: list = field(default_factory=list)
-    divergence_to_final_bits: list | None = None
-
-    @property
-    def steps(self) -> list:
-        """Step indices; every step is recorded, so these are 0, 1, ..., len - 1."""
-        return list(range(len(self)))
 
     @property
     def lower_bits(self) -> list:
         """Certified lower bounds; each step value is one, so this aliases ``objective_bits``."""
         return self.objective_bits
-
-    def record(self, objective, upper, cost, l1, iterate):
-        self.objective_bits.append(objective)
-        self.upper_bits.append(upper)
-        self.expected_cost.append(cost)
-        self.l1_step.append(l1)
-        self.iterates.append(iterate)
 
     def __len__(self) -> int:
         return len(self.objective_bits)
@@ -411,6 +400,9 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
     log_p, div, gain, log_z, bound_bits, nu = evaluate(p, nu)
     while True:
         value_bits = log_z / LN2
+        trace.objective_bits.append(value_bits)
+        trace.upper_bits.append(bound_bits)
+        trace.iterates.append(p)
         iterations += 1
         tilted = tilted or nu > 0.0
         moved = (value_bits - lower >= STALL_TOL_BITS
@@ -444,8 +436,6 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
                 terms = evaluate(new_p, nu)
         else:
             new_p = _update(log_p, gain)
-        trace.record(value_bits, bound_bits, float(ch.costs @ p),
-                     float(np.abs(new_p - p).sum()), p)
         p = new_p
         if reason is not None:
             break
@@ -474,35 +464,31 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
 class RateDiagnostics:
     sublinear_ok: bool
     geometric_ratio_tail: float
+    divergence_to_final_bits: list
 
 
 def rate_diagnostics(trace: IterationTrace, p_final) -> RateDiagnostics:
     """Convergence-rate checks on a completed trace.
 
-    Fills ``divergence_to_final_bits``. ``sublinear_ok`` verifies that the
-    remaining gap to the final certified upper bound decays at least like
-    log2(n)/t. ``geometric_ratio_tail`` is the largest consecutive ratio of
-    divergences to the final distribution over the last quarter of recorded
-    steps, reported as 1.0 once divergences fall below measurability
+    ``sublinear_ok`` verifies that the remaining gap to the final certified
+    upper bound, the smallest recorded one (the extrapolated step's bounds
+    are not monotone), decays at least like log2(n)/t.
+    ``divergence_to_final_bits`` holds each iterate's divergence
+    D(p_final || iterate) in bits, and ``geometric_ratio_tail`` the largest
+    ratio of consecutive ones over the last quarter of recorded steps,
+    reported as 1.0 once they fall below measurability
     (``DIVERGENCE_FLOOR_BITS``).
     """
     if len(trace) == 0:
         raise EmptyTrace("no recorded steps")
     final = as_probability_vector(p_final, trace.iterates[0].size)
     divergences = [kl_divergence_bits(final, iterate) for iterate in trace.iterates]
-    trace.divergence_to_final_bits = divergences
 
-    n = final.size
-    final_upper = trace.upper_bits[-1]
-    log_n = math.log2(n) if n > 1 else 0.0
-    sublinear = True
-    for step, objective in zip(trace.steps, trace.objective_bits):
-        if step < 1:
-            continue
-        # 1e-12 absorbs float dust in the recorded bounds
-        if final_upper - objective > log_n / step + 1e-12:
-            sublinear = False
-            break
+    best_upper = min(trace.upper_bits)
+    log_n = math.log2(final.size)
+    # 1e-12 absorbs float dust in the recorded bounds
+    sublinear = all(best_upper - objective <= log_n / step + 1e-12
+                    for step, objective in enumerate(trace.objective_bits[1:], start=1))
 
     count = len(divergences)
     start = (3 * count) // 4
@@ -512,4 +498,5 @@ def rate_diagnostics(trace: IterationTrace, p_final) -> RateDiagnostics:
         if divergences[i] >= DIVERGENCE_FLOOR_BITS
     ]
     tail = max(ratios) if ratios else 1.0
-    return RateDiagnostics(sublinear_ok=sublinear, geometric_ratio_tail=tail)
+    return RateDiagnostics(sublinear_ok=sublinear, geometric_ratio_tail=tail,
+                           divergence_to_final_bits=divergences)

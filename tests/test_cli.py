@@ -180,6 +180,39 @@ class TestCapacityCommand:
             assert float(r[2]) <= float(r[3]) + 1e-10
         assert json.loads(out)["trace_path"] == str(trace_path)
 
+    def test_trace_cost_and_l1_columns_derive_from_the_iterates(self, capsys, tmp_path):
+        ch = CqChannel(random_channel(3, 2, 5, "mixed").states, [0.2, 1.0, 0.5])
+        path = tmp_path / "priced.json"
+        save_channel(ch, path)
+        trace_path = tmp_path / "trace.csv"
+        code, out, _ = run_cli(capsys, ["capacity", "--channel", str(path),
+                                        "--cost-limit", "0.4", "--trace", str(trace_path)])
+        assert code == 0
+        report = json.loads(out)["result"]
+        assert report["constraint_active"] is True
+        rows = [line.split(",") for line in trace_path.read_text().splitlines()[1:]]
+        # the same solve in process: the CLI makes one library call
+        loaded = cqcap.load_channel(path)
+        iterates = cqcap.constrained_capacity(loaded, 0.4).trace.iterates
+        assert len(rows) == len(iterates) > 1
+        moved_to = iterates[1:] + [np.array(report["probs"])]
+        for row, iterate, after in zip(rows, iterates, moved_to):
+            assert float(row[4]) == float(loaded.costs @ iterate)
+            assert float(row[5]) == float(np.abs(after - iterate).sum())
+
+    def test_unwritable_trace_path_exit_2_before_the_solve(self, capsys, monkeypatch,
+                                                           orth_file, tmp_path):
+        from cqcap import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "constrained_capacity", lambda *a, **k: calls.append(a))
+        code, out, err = run_cli(capsys, ["capacity", "--channel", orth_file, "--trace",
+                                          str(tmp_path / "missing" / "trace.csv")])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "FileNotFoundError"
+        assert calls == []
+
     def test_reports_deterministic_modulo_timing(self, capsys, orth_file):
         _, out1, _ = run_cli(capsys, ["capacity", "--channel", orth_file])
         _, out2, _ = run_cli(capsys, ["capacity", "--channel", orth_file])

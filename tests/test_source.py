@@ -94,11 +94,13 @@ def test_solve_loop_knows_no_run_mode():
     # the step rule (a fixed penalty or a solved tilt) is chosen before the
     # loop and applied in its evaluation, so the loop neither widens a bound
     # nor tests for the infinite tilt
-    tree = _module(SOURCE_DIR / "solver.py")
-    solve = next(node for node in tree.body
-                 if isinstance(node, ast.FunctionDef) and node.name == "solve_fixed_lambda")
-    loop = next(node for node in ast.walk(solve) if isinstance(node, ast.While))
-    assert sorted(_names(loop) & {"widen", "inf"}) == []
+    assert sorted(_names(_solve_loop()) & {"widen", "inf"}) == []
+
+
+def test_solve_loop_reduces_nothing_for_the_trace():
+    # the trace keeps only what the loop computes; a reader derives the rest
+    # from the recorded iterates, so no step pays for a cost or an l1 move
+    assert sorted(_names(_solve_loop()) & {"costs", "abs"}) == []
 
 
 def test_capacity_is_one_solve_on_the_callers_channel():
@@ -115,6 +117,13 @@ def test_capacity_is_one_solve_on_the_callers_channel():
 
 def _module(path):
     return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _solve_loop():
+    """The ``while`` loop of ``solve_fixed_lambda``."""
+    solve = next(node for node in _module(SOURCE_DIR / "solver.py").body
+                 if isinstance(node, ast.FunctionDef) and node.name == "solve_fixed_lambda")
+    return next(node for node in ast.walk(solve) if isinstance(node, ast.While))
 
 
 def _names(tree):
