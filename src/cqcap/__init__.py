@@ -1,6 +1,6 @@
 """Capacity of classical-quantum channels via alternating maximization."""
 
-from .capacity import CapacityResult, constrained_capacity, unconstrained_capacity
+from .capacity import constrained_capacity, unconstrained_capacity
 from .channel import (
     CqChannel,
     IndependenceReport,
@@ -11,22 +11,13 @@ from .channel import (
     independence_check,
     kl_divergence_bits,
     load_channel,
-    output_state,
     random_channel,
     save_channel,
 )
-from .hermitian import (
-    DensityMatrix,
-    log_on_support,
-    quantum_relative_entropy,
-    relative_entropy_nats,
-    trace_product,
-    validate_density,
-    von_neumann_entropy,
-)
+from .hermitian import DensityMatrix, validate_density
 from .oracle import GridResult, GridSpec, classical_ba, diagonal_transition_matrix, grid_capacity
 from .solver import (
-    FixedLambdaResult,
+    CapacityResult,
     IterationState,
     IterationTrace,
     RateDiagnostics,
@@ -46,7 +37,6 @@ __all__ = [
     "CapacityResult",
     "CqChannel",
     "DensityMatrix",
-    "FixedLambdaResult",
     "GridResult",
     "GridSpec",
     "IndependenceReport",
@@ -67,19 +57,13 @@ __all__ = [
     "independence_check",
     "kl_divergence_bits",
     "load_channel",
-    "log_on_support",
     "make_iteration_state",
-    "output_state",
-    "quantum_relative_entropy",
     "random_channel",
     "rate_diagnostics",
-    "relative_entropy_nats",
     "save_channel",
     "solve_fixed_lambda",
     "surrogate_objective",
-    "trace_product",
     "unconstrained_capacity",
     "upper_bound",
     "validate_density",
-    "von_neumann_entropy",
 ]

@@ -25,7 +25,6 @@ from .hermitian import (
     DensityMatrix,
     _entropy_nats,
     _validate_stack,
-    validate_density,
 )
 
 SIMPLEX_TOL = 1e-12
@@ -173,7 +172,7 @@ class CqChannel:
 
         When the support is the whole space (d = m) this is ``state_stack``
         itself. The solver and :func:`holevo_quantity` work on it; the
-        oracles read ``state_stack``.
+        oracles and ``cqcap.reference`` read ``state_stack``.
         """
         return self._support_stack
 
@@ -226,12 +225,6 @@ class CqChannel:
 
     def __repr__(self) -> str:
         return f"CqChannel(n={self.size}, dim={self.dim})"
-
-
-def output_state(ch: CqChannel, p) -> DensityMatrix:
-    """Mixture sum_x p_x rho_x as a validated state."""
-    w = as_probability_vector(p, ch.size)
-    return validate_density(np.einsum("x,xij->ij", w, ch.state_stack))
 
 
 def holevo_quantity(ch: CqChannel, p) -> float:

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .capacity import CapacityResult, constrained_capacity, unconstrained_capacity
+from .capacity import constrained_capacity, unconstrained_capacity
 from .channel import (
     CqChannel,
     channel_from_jsonable,
@@ -29,6 +29,7 @@ from .channel import (
 )
 from .errors import BadParams, CqcapError
 from .oracle import DEFAULT_GRID_RESOLUTION, MAX_GRID_ALPHABET, GridSpec, grid_capacity
+from .solver import CapacityResult
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -82,18 +83,21 @@ def _load(path: str) -> tuple[CqChannel, str]:
 
 
 def _write_trace_csv(fh, result: CapacityResult, costs: np.ndarray) -> None:
-    """The solve's trace as CSV; each step's cost and l1 move are derived from its iterate."""
+    """The solve's trace as CSV; each step's cost and l1 move are derived from its iterate.
+
+    Each step value is a lower bound, so the ``lower_bits`` column repeats ``f_bits``.
+    """
     trace = result.trace
     # the last step moves to the returned distribution
     moves = np.abs(np.diff(np.vstack(trace.iterates + [result.probs.probs]), axis=0)).sum(axis=1)
     writer = csv.writer(fh)
     writer.writerow(["t", "f_bits", "lower_bits", "upper_bits", "expected_cost", "l1_step"])
-    rows = zip(trace.objective_bits, trace.lower_bits, trace.upper_bits, trace.iterates,
-               moves.tolist())
-    for step, (objective, lower, upper, iterate, l1) in enumerate(rows):
+    rows = zip(trace.objective_bits, trace.upper_bits, trace.iterates, moves.tolist())
+    for step, (objective, upper, iterate, l1) in enumerate(rows):
         # one dot product per row: a stacked one can differ in the last bit
         cost = float(costs @ iterate)
-        writer.writerow([step] + [_format_float(v) for v in (objective, lower, upper, cost, l1)])
+        value = _format_float(objective)
+        writer.writerow([step, value, value] + [_format_float(v) for v in (upper, cost, l1)])
 
 
 def _result_payload(result: CapacityResult) -> dict:

@@ -1,7 +1,8 @@
-"""Dense complex Hermitian matrix services: validation, spectra, entropies, divergences.
+"""Dense complex Hermitian matrix services: validation, spectra and entropies.
 
-Entropic quantities are exposed in bits; natural-log variants carry a
-``_nats`` suffix and are what the iterative solver consumes internally.
+A validated state carries its spectral entropy in nats (``entropy_nats``),
+which the solver reads. The exact-matrix divergences, the log on the support
+and entropies in bits are reference math, in ``cqcap.reference``.
 
 Validation takes eigenvalues only. A state's eigenvalues at or below the
 cutoff are clamped to zero in its spectrum, but its matrix is not rebuilt
@@ -23,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadTrace, DimensionMismatch, NotHermitian, NotPSD
+from .errors import BadTrace, NotHermitian, NotPSD
 
 LN2 = math.log(2.0)
 
@@ -31,7 +32,6 @@ LN2 = math.log(2.0)
 HERMITIAN_TOL = 1e-9    # max-norm asymmetry, relative to the entry scale
 TRACE_TOL = 1e-9        # |Tr - 1|
 EIGENVALUE_REL = 1e-12  # support cutoff, relative to the largest eigenvalue
-SUPPORT_TOL = 1e-10     # mass tolerated outside another state's support
 
 
 class DensityMatrix:
@@ -137,46 +137,3 @@ def _entropy_nats(eigenvalues: np.ndarray) -> float:
     """-sum(w log w) over the positive eigenvalues, natural log."""
     w = eigenvalues[eigenvalues > 0.0]
     return max(0.0, float(-(w * np.log(w)).sum()))
-
-
-def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """Tr(a @ b) without forming the product; O(m^2)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
-    return complex(np.sum(a * b.T))
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Spectral entropy of a state, in bits; lies in [0, log2(dim)]."""
-    return rho.entropy_nats / LN2
-
-
-def log_on_support(rho: DensityMatrix) -> np.ndarray:
-    """Matrix logarithm restricted to the support (natural log; kernel zeroed)."""
-    r = rho.rank
-    v = rho.eigenvectors[:, :r]
-    out = (v * np.log(rho.eigenvalues[:r])) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
-def relative_entropy_nats(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Tr[rho (log rho - log sigma)] in nats; +inf if rho leaks outside supp(sigma)."""
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    # rho's diagonal in sigma's eigenbasis, diag(V^H rho V): real for Hermitian rho
-    v = sigma.eigenvectors
-    weights = ((rho.matrix @ v) * v.conj()).sum(axis=0).real
-    r = sigma.rank
-    if float(weights[r:].sum()) > SUPPORT_TOL:
-        return math.inf
-    cross = float(weights[:r] @ np.log(sigma.eigenvalues[:r]))
-    # mathematically >= 0 for unit-trace PSD inputs; clamp rounding dust
-    return max(0.0, -rho.entropy_nats - cross)
-
-
-def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Relative entropy in bits, or +inf on a support violation."""
-    value = relative_entropy_nats(rho, sigma)
-    return value if math.isinf(value) else value / LN2

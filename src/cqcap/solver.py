@@ -21,9 +21,16 @@ adds the charge for the states' weight outside it to the excess (see
 ``cqcap.channel``). The loop forms each state's gain D - penalty once: the
 upper bound is max(gain) + excess and the step value log Z = lse(log p +
 gain). ``make_iteration_state``, ``ba_step``, ``upper_bound`` and
-``surrogate_objective`` share the kernel and the penalty helper, so they
-reproduce the loop's bounds and step values bit for bit. A solve reports one
-Holevo value, ``holevo_quantity`` at the returned distribution.
+``surrogate_objective`` wrap the same kernel and penalty helper for callers
+outside the loop, so they reproduce its bounds and step values bit for bit.
+The exact-matrix versions of these quantities, which share none of the
+kernel, are reference math in ``cqcap.reference``, off the solver path.
+
+A solve reports one lower bound: the Holevo value of the returned
+distribution, ``holevo_quantity``, penalized as chi(p) - mu c.p at a fixed
+multiplier mu. The best step value is only the loop's stopping quantity,
+``max(trace.objective_bits)``; the returned distribution's value is at least
+it, up to rounding (see below).
 
 One function, ``_update``, makes every distribution the solver steps to or
 returns: p ~ p exp(gamma gain), normalized by its sum, the log-weights of
@@ -47,7 +54,7 @@ c.p (``SolverConfig.cost_limit``) is met inside the step, as in Blahut's and
 Arimoto's constrained iterations: the p-step maximizes f(q, p) over the q
 with c.q <= S, so it is the tilted update T_nu(p) ~ p exp(D - nu c), with
 nu = 0 when T_0 fits and otherwise c.T_nu = S, found by ``_tilt`` from the
-feasible side; the extrapolated step is tilted too. The lower bound is
+feasible side; the extrapolated step is tilted too. The step's lower bound is
 f(T_nu, p) = log Z_nu + nu c.T_nu: f(q, p) is at most the Holevo value of q
 at any p, and T_nu meets the budget whatever nu is, so the tilt's tolerance
 (``TILT_TOL_REL`` of the budget) sets only how tight it is. The upper bound
@@ -173,43 +180,42 @@ class IterationTrace:
     upper_bits: list = field(default_factory=list)
     iterates: list = field(default_factory=list)
 
-    @property
-    def lower_bits(self) -> list:
-        """Certified lower bounds; each step value is one, so this aliases ``objective_bits``."""
-        return self.objective_bits
-
     def __len__(self) -> int:
         return len(self.objective_bits)
 
 
 @dataclass(frozen=True)
-class FixedLambdaResult:
-    """Outcome of a run at a fixed multiplier or a budget.
+class CapacityResult:
+    """Outcome of a solve at a fixed multiplier or a budget, with its certificate.
 
-    ``value_bits`` is the penalized Holevo value at the final distribution;
-    ``[lower_bits, upper_bits]`` is the certified interval for the optimum,
-    the best bounds of any step. ``multiplier`` is the mu of the best upper
-    bound's dual line: the configured one, that step's tilt, or inf for the
-    infinite tilt. A budgeted run's ``expected_cost`` is the cheapest cost
-    plus the shifted cost the tilt meets. ``budget_binds`` says that a step
-    had to be tilted and the returned distribution costs the budget, or that
-    the tilt is infinite.
-    ``rejected_steps`` counts the extrapolated steps that lost ascent and
-    were replaced by the plain update; the run took ``iterations +
+    ``gap_certificate_bits`` is the certified interval for the optimum.
+    Its lower end is ``capacity_bits``, the Holevo value of the returned
+    ``probs`` (penalized at a fixed multiplier, module docstring); its upper
+    end is the smallest upper bound of any step. ``certified`` says whether
+    the interval is at most epsilon wide. ``multiplier`` is the mu of the best
+    upper bound's dual line: the configured one, that step's tilt, or inf for
+    the infinite tilt. A budgeted run's ``expected_cost`` is the cheapest
+    cost plus the shifted cost the tilt meets. ``constraint_active`` says
+    that the budget set the answer: a step had to be tilted and the returned
+    distribution costs the budget, or the tilt is infinite.
+    ``trace`` records the ``iterations`` steps over every letter of the
+    channel. ``rejected_steps`` counts the extrapolated steps that lost ascent
+    and were replaced by the plain update; the run took ``iterations +
     rejected_steps + 1`` spectra of a mixture, the last a values-only one in
     ``holevo_quantity``.
     """
 
+    capacity_bits: float
     probs: InputDistribution
-    value_bits: float
-    lower_bits: float
-    upper_bits: float
-    expected_cost: float
-    iterations: int
-    termination: TerminationReason
-    rejected_steps: int
     multiplier: float
-    budget_binds: bool
+    expected_cost: float
+    constraint_active: bool
+    gap_certificate_bits: tuple
+    termination: TerminationReason
+    trace: IterationTrace
+    iterations: int
+    rejected_steps: int
+    certified: bool
 
 
 def make_iteration_state(ch: CqChannel, p) -> IterationState:
@@ -328,13 +334,14 @@ def _tilt(log_p, div, gamma, powers, budget, nu):
 def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
     """Iterate from the uniform distribution until the certified gap closes.
 
-    Returns ``(FixedLambdaResult, IterationTrace)``. The step rule is chosen
-    before the loop (module docstring). Each step takes the extrapolated
-    update when it keeps the ascent and the plain update otherwise; the trace
-    records the steps taken, and the returned distribution is the plain
-    update of the last recorded state.
+    Returns ``(CapacityResult, IterationTrace)``, the trace being the
+    result's own ``trace``. The step rule is chosen before the loop (module
+    docstring). Each step takes the extrapolated update when it keeps the
+    ascent and the plain update otherwise; the trace records the steps
+    taken, and the returned distribution is the plain update of the last
+    recorded state.
     Every step value is a lower bound and every step's upper bound is one
-    too, so the certified gap is the smallest upper bound seen minus the
+    too, so the loop's gap is the smallest upper bound seen minus the
     largest step value seen. Termination: that gap <= epsilon, a stall
     (neither bound improved by ``STALL_TOL_BITS`` for ``STALL_WINDOW``
     consecutive steps, reported rather than silently accepted), or the
@@ -444,19 +451,22 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
     probs = InputDistribution(p)
     # the shifted cost the tilt meets, so a feasible distribution reports one
     expected_cost = cheapest + float(powers[1] @ p) if budgeted else float(ch.costs @ p)
-    result = FixedLambdaResult(
+    capacity_bits = holevo_quantity(ch, probs) - config.multiplier * expected_cost
+    result = CapacityResult(
+        capacity_bits=capacity_bits,
         probs=probs,
-        value_bits=holevo_quantity(ch, probs) - config.multiplier * expected_cost,
-        lower_bits=lower,
-        upper_bits=upper,
-        expected_cost=expected_cost,
-        iterations=iterations,
-        termination=reason,
-        rejected_steps=rejected,
         multiplier=config.multiplier + best_nu / LN2,
-        budget_binds=tilted and (nu == math.inf
-                                 or float(powers[1] @ p) >= budget * (1.0 - TILT_TOL_REL)),
+        expected_cost=expected_cost,
+        constraint_active=tilted and (nu == math.inf
+                                      or float(powers[1] @ p) >= budget * (1.0 - TILT_TOL_REL)),
+        gap_certificate_bits=(capacity_bits, upper),
+        termination=reason,
+        trace=trace,
+        iterations=iterations,
+        rejected_steps=rejected,
+        certified=upper - capacity_bits <= config.epsilon,
     )
+    # the pair form stays while the benchmark's inner-solve counter unpacks it
     return result, trace
 
 

@@ -21,15 +21,18 @@ from cqcap import (
     grid_capacity,
     independence_check,
     make_iteration_state,
-    quantum_relative_entropy,
     random_channel,
     rate_diagnostics,
-    relative_entropy_nats,
     solve_fixed_lambda,
-    trace_product,
     unconstrained_capacity,
 )
-from cqcap.channel import kl_divergence_bits, output_state
+from cqcap.channel import kl_divergence_bits
+from cqcap.reference import (
+    output_state,
+    quantum_relative_entropy,
+    relative_entropy_nats,
+    trace_product,
+)
 from helpers import (
     BUDGET_CAPACITY,
     NONORTH_PAIR_CAPACITY,
@@ -100,7 +103,7 @@ def test_criterion_02_classical_cross_check():
         ch = random_channel(n, m, int(rng.integers(1 << 31)), "diagonal")
         res, _ = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8))
         reference = classical_ba(diagonal_transition_matrix(ch), epsilon=1e-8)
-        worst = max(worst, abs(res.value_bits - reference))
+        worst = max(worst, abs(res.capacity_bits - reference))
     check(2, "50 diagonal channels match the classical reference within 1e-6",
           worst <= 1e-6, f"max mismatch {worst:.2e}")
 
@@ -122,11 +125,11 @@ def test_criterion_04_grid_oracle_containment():
         n = 2 + i % 2
         m = 2 + i % 2
         ch = random_channel(n, m, 30_000 + i, "mixed")
-        res, _ = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-6))
+        res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-6))
         grid = grid_capacity(ch, GridSpec(1000 if n == 2 else 200))
-        inside = (res.lower_bits - grid.slack_bits
+        inside = (max(trace.objective_bits) - grid.slack_bits
                   <= grid.value_bits
-                  <= res.upper_bits + grid.slack_bits)
+                  <= res.gap_certificate_bits[1] + grid.slack_bits)
         violations += 0 if inside else 1
     check(4, "solver certificates contain the grid value within its slack on 25 channels",
           violations == 0, f"{violations} violations")
@@ -183,7 +186,7 @@ def test_returned_distribution_carries_the_certificate(traced_runs):
         res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8))
         runs.append((ch, res, trace, 1e-8))
     for ch, res, trace, eps in runs:
-        assert res.value_bits >= res.lower_bits - 1e-12
+        assert res.capacity_bits >= max(trace.objective_bits) - 1e-12
         assert all(float(iterate.min()) > 0.0 for iterate in trace.iterates)
         assert float(res.probs.probs.min()) > 0.0
         if res.termination is TerminationReason.GAP_REACHED:

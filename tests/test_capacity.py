@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import cqcap.capacity
 import cqcap.solver
 from cqcap import (
+    CapacityResult,
     CqChannel,
     GridSpec,
     SolverConfig,
@@ -321,6 +323,38 @@ class TestUnconstrainedIsInfiniteBudget:
             seen.clear()
             unconstrained_capacity(ch, epsilon=eps)
             assert seen == [eps]
+
+
+class TestOneResult:
+    """``constrained_capacity`` returns the solver's own result, unchanged."""
+
+    @pytest.mark.parametrize("budget, multiplier", [
+        (0.5, "finite"),
+        (math.inf, "zero"),
+        (0.3, "inf"),
+    ], ids=["binding", "infinite-budget", "infinite-tilt"])
+    def test_matches_the_solve_field_by_field(self, budget, multiplier):
+        for ch in TestUnconstrainedIsInfiniteBudget.channels():
+            result = constrained_capacity(ch, budget)
+            solved = solve_fixed_lambda(ch, SolverConfig(cost_limit=budget))[0]
+            for f in dataclasses.fields(CapacityResult):
+                mine, theirs = getattr(result, f.name), getattr(solved, f.name)
+                if f.name == "probs":
+                    assert np.array_equal(mine.probs, theirs.probs)
+                elif f.name == "trace":
+                    assert mine.objective_bits == theirs.objective_bits
+                    assert mine.upper_bits == theirs.upper_bits
+                    assert len(mine.iterates) == len(theirs.iterates)
+                    assert all(map(np.array_equal, mine.iterates, theirs.iterates))
+                else:
+                    assert mine == theirs, f.name
+            lower, upper = result.gap_certificate_bits
+            assert lower == result.capacity_bits
+            assert result.certified == (upper - result.capacity_bits <= 1e-6)
+            assert result.constraint_active == (multiplier != "zero")
+            assert {"finite": 0.0 < result.multiplier < math.inf,
+                    "zero": result.multiplier == 0.0,
+                    "inf": result.multiplier == math.inf}[multiplier]
 
 
 def _edge_channel(costs):

@@ -13,14 +13,9 @@ from cqcap import (
     independence_check,
     kl_divergence_bits,
     load_channel,
-    log_on_support,
-    output_state,
-    quantum_relative_entropy,
     random_channel,
     save_channel,
-    trace_product,
     validate_density,
-    von_neumann_entropy,
 )
 from cqcap.errors import (
     BadParams,
@@ -29,6 +24,13 @@ from cqcap.errors import (
     LengthMismatch,
     NotHermitian,
     NotPSD,
+)
+from cqcap.reference import (
+    log_on_support,
+    output_state,
+    quantum_relative_entropy,
+    trace_product,
+    von_neumann_entropy,
 )
 from helpers import (
     NONORTH_PAIR_CAPACITY,

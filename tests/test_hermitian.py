@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cqcap import (
+from cqcap import validate_density
+from cqcap.reference import (
     log_on_support,
     quantum_relative_entropy,
     relative_entropy_nats,
     trace_product,
-    validate_density,
     von_neumann_entropy,
 )
 from cqcap.errors import BadTrace, DimensionMismatch, NotHermitian, NotPSD

@@ -104,7 +104,7 @@ class TestCrossChecks:
             ch = random_channel(3 + i % 2, 2 + i % 3, 50 + i, "diagonal")
             res, _ = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8))
             classical = classical_ba(diagonal_transition_matrix(ch), epsilon=1e-8)
-            assert res.value_bits == pytest.approx(classical, abs=1e-6)
+            assert res.capacity_bits == pytest.approx(classical, abs=1e-6)
 
     def test_transition_extraction_requires_diagonal(self):
         with pytest.raises(ValueError):
@@ -115,8 +115,8 @@ class TestCrossChecks:
             ch = random_channel(2 + i % 2, 2, 70 + i, "mixed")
             res, _ = solve_fixed_lambda(ch, SolverConfig())
             oracle = grid_capacity(ch, GridSpec(500))
-            assert oracle.value_bits <= res.upper_bits + 1e-10
-            assert res.lower_bits <= oracle.value_bits + oracle.slack_bits
+            assert oracle.value_bits <= res.gap_certificate_bits[1] + 1e-10
+            assert max(res.trace.objective_bits) <= oracle.value_bits + oracle.slack_bits
 
 
 class TestGridLimit:

@@ -15,13 +15,10 @@ from cqcap import (
     holevo_quantity,
     kl_divergence_bits,
     make_iteration_state,
-    output_state,
     random_channel,
     rate_diagnostics,
-    relative_entropy_nats,
     solve_fixed_lambda,
     surrogate_objective,
-    trace_product,
     unconstrained_capacity,
     upper_bound,
 )
@@ -29,6 +26,7 @@ from cqcap.errors import EmptyTrace, InfeasibleCost, SupportViolation
 from cqcap.hermitian import EIGENVALUE_REL, LN2
 from cqcap.solver import TILT_TOL_REL, _tilt, _update
 from cqcap.oracle import DEFAULT_GRID_RESOLUTION, GridSpec, grid_capacity
+from cqcap.reference import output_state, relative_entropy_nats, trace_product
 from helpers import (
     BSC_CAPACITY,
     NONORTH_PAIR_CAPACITY,
@@ -160,17 +158,17 @@ class TestSolveFixedLambda:
         res, _ = solve_fixed_lambda(orthogonal_channel(2), SolverConfig())
         assert res.termination is TerminationReason.GAP_REACHED
         assert res.iterations == 1
-        assert res.value_bits == pytest.approx(1.0, abs=1e-9)
+        assert res.capacity_bits == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(res.probs.probs, [0.5, 0.5])
 
     def test_nonorthogonal_pair_value(self):
         res, _ = solve_fixed_lambda(nonorthogonal_pair_channel(), SolverConfig())
-        assert res.value_bits == pytest.approx(NONORTH_PAIR_CAPACITY, abs=1e-6)
+        assert res.capacity_bits == pytest.approx(NONORTH_PAIR_CAPACITY, abs=1e-6)
 
     def test_binary_symmetric_channel_embedding(self):
         ch = CqChannel([np.diag([0.9, 0.1]), np.diag([0.1, 0.9])])
         res, _ = solve_fixed_lambda(ch, SolverConfig())
-        assert res.value_bits == pytest.approx(BSC_CAPACITY, abs=1e-6)
+        assert res.capacity_bits == pytest.approx(BSC_CAPACITY, abs=1e-6)
 
     def test_zero_mass_start_rejected(self):
         with pytest.raises(ValueError):
@@ -200,9 +198,8 @@ class TestSolveFixedLambda:
         res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8))
         assert (n, m) == (3, 7)
         assert res.termination is TerminationReason.GAP_REACHED
-        assert res.upper_bits - res.lower_bits <= 1e-8
-        assert res.lower_bits == max(trace.lower_bits)
-        assert res.upper_bits == min(trace.upper_bits)
+        assert res.gap_certificate_bits[1] - max(trace.objective_bits) <= 1e-8
+        assert res.gap_certificate_bits[1] == min(trace.upper_bits)
 
     def test_monotone_ascent_and_certificates(self):
         for i in range(20):
@@ -211,10 +208,11 @@ class TestSolveFixedLambda:
             values = trace.objective_bits
             assert all(b >= a - 1e-10 for a, b in zip(values, values[1:]))
             assert all(
-                lo <= hi + 1e-10 for lo, hi in zip(trace.lower_bits, trace.upper_bits)
+                lo <= hi + 1e-10 for lo, hi in zip(trace.objective_bits, trace.upper_bits)
             )
-            assert res.upper_bits - res.lower_bits <= 1e-6
-            assert res.lower_bits - 1e-12 <= res.value_bits <= res.upper_bits + 1e-12
+            assert res.gap_certificate_bits[1] - max(trace.objective_bits) <= 1e-6
+            assert (max(trace.objective_bits) - 1e-12 <= res.capacity_bits
+                    <= res.gap_certificate_bits[1] + 1e-12)
 
     def test_sandwich_against_grid_oracle(self):
         for lam in (0.0, 0.5):
@@ -250,7 +248,7 @@ class TestSolveFixedLambda:
             n = 2 + i % 3
             ch = random_channel(n, 2, 900 + i, "mixed")
             res, trace = solve_fixed_lambda(ch, SolverConfig())
-            total = sum(res.value_bits - f for f in trace.objective_bits)
+            total = sum(res.capacity_bits - f for f in trace.objective_bits)
             start = np.full(n, 1.0 / n)
             budget = kl_divergence_bits(res.probs.probs, start)
             assert total <= budget + 1e-9 * len(trace)
@@ -323,7 +321,7 @@ class TestSolveFixedLambda:
         ch = random_channel(3, 2, 61, "mixed")
         base, _ = solve_fixed_lambda(ch, SolverConfig(multiplier=0.0))
         penalized, _ = solve_fixed_lambda(ch, SolverConfig(multiplier=3.7))
-        assert base.value_bits == pytest.approx(penalized.value_bits, abs=2e-6)
+        assert base.capacity_bits == pytest.approx(penalized.capacity_bits, abs=2e-6)
 
 
 class TestOneDivergencePath:
@@ -385,7 +383,7 @@ class TestOneDivergencePath:
                 ch = CqChannel(random_channel(3, 3, 13, kind).states, costs)
                 res, _ = solve_fixed_lambda(ch, SolverConfig(multiplier=lam))
                 expected = holevo_quantity(ch, res.probs) - lam * res.expected_cost
-                assert res.value_bits == pytest.approx(expected, abs=1e-12)
+                assert res.capacity_bits == pytest.approx(expected, abs=1e-12)
 
 
 def padded(ch: CqChannel) -> CqChannel:
@@ -469,7 +467,7 @@ class TestRaisedSpectrum:
         ch = CqChannel([np.outer(v, v.conj()) for v in kets])
         res, _ = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-6))
         chi, _ = gram_form_bounds_bits(kets, res.probs.probs)
-        assert holevo_quantity(ch, res.probs) == pytest.approx(res.value_bits, abs=1e-12)
+        assert holevo_quantity(ch, res.probs) == pytest.approx(res.capacity_bits, abs=1e-12)
         assert holevo_quantity(ch, res.probs) == pytest.approx(chi, abs=1e-10)
 
 
@@ -747,8 +745,8 @@ class TestBudgetedLoop:
             res, _ = solve_fixed_lambda(ch, SolverConfig(cost_limit=budget, max_iter=20000))
             assert res.expected_cost <= budget
             grid = grid_capacity(ch, GridSpec(DEFAULT_GRID_RESOLUTION[3]), cost_limit=budget)
-            assert (res.lower_bits - grid.slack_bits <= grid.value_bits
-                    <= res.upper_bits + grid.slack_bits)
+            assert (max(res.trace.objective_bits) - grid.slack_bits <= grid.value_bits
+                    <= res.gap_certificate_bits[1] + grid.slack_bits)
 
     @pytest.mark.parametrize("kind", ["pure", "mixed", "diagonal"])
     def test_bound_is_the_dual_line_at_the_best_steps_multiplier(self, kind):
@@ -761,16 +759,16 @@ class TestBudgetedLoop:
             k = int(np.argmin(trace.upper_bits))
             state = make_iteration_state(ch, trace.iterates[k])
             line = upper_bound(ch, res.multiplier, state) + res.multiplier * budget
-            assert abs(res.upper_bits - line) <= 1e-10
+            assert abs(res.gap_certificate_bits[1] - line) <= 1e-10
 
     def test_budgeted_solve_certifies_a_feasible_distribution(self):
         ch = CqChannel(random_channel(4, 3, 5, "mixed").states, [0.3, 1.0, 0.4, 2.0])
         res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8, cost_limit=0.5))
         assert res.termination is TerminationReason.GAP_REACHED
-        assert res.upper_bits - res.lower_bits <= 1e-8
-        assert res.expected_cost <= 0.5 and res.budget_binds
+        assert res.gap_certificate_bits[1] - max(trace.objective_bits) <= 1e-8
+        assert res.expected_cost <= 0.5 and res.constraint_active
         # the returned distribution's Holevo value carries the lower bound
-        assert res.value_bits >= res.lower_bits - 1e-12
+        assert res.capacity_bits >= max(trace.objective_bits) - 1e-12
         assert len(trace) == res.iterations
 
     def test_rejects_a_budget_it_cannot_resolve(self):
@@ -796,10 +794,10 @@ class TestBudgetedLoop:
         res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=eps, cost_limit=budget))
         costlier = ch.costs > ch.costs.min()
         assert res.termination is TerminationReason.GAP_REACHED
-        assert res.upper_bits - res.lower_bits <= eps
+        assert res.gap_certificate_bits[1] - max(trace.objective_bits) <= eps
         assert np.all(res.probs.probs[costlier] == 0.0)
         assert res.expected_cost <= budget
-        assert res.multiplier == math.inf and res.budget_binds
+        assert res.multiplier == math.inf and res.constraint_active
         assert len(trace) == res.iterations
         assert all(iterate.size == ch.size for iterate in trace.iterates)
         assert all(np.all(iterate[costlier] == 0.0) for iterate in trace.iterates[1:])

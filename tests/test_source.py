@@ -3,7 +3,9 @@
 import ast
 import contextlib
 import io
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -68,19 +70,45 @@ def test_every_error_type_is_raised():
 
 
 def test_oracles_stay_off_the_solver_basis():
-    # the oracles verify the solver, so they read the full state_stack,
-    # never the compressed joint-support stack the solver steps on
-    path = SOURCE_DIR / "oracle.py"
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-        if isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
-    assert "state_stack" in names
-    assert not names & {"support_stack", "_support_stack", "_outside_mass"}
+    # the oracles and the reference math verify the solver, so they read the
+    # full state_stack, never the compressed joint-support stack it steps on
+    for path in (SOURCE_DIR / "oracle.py", SOURCE_DIR / "reference.py"):
+        names = set()
+        for node in ast.walk(_module(path)):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        assert "state_stack" in names, path.name
+        assert not names & {"support_stack", "_support_stack", "_outside_mass"}, path.name
+
+
+def test_solver_path_never_imports_the_reference_math():
+    # the reference math checks the solver, so no module on the solver path
+    # or the package's own import reaches it
+    offenders = []
+    for name in ("__init__", "hermitian", "channel", "solver", "capacity", "cli"):
+        for node in ast.walk(_module(SOURCE_DIR / f"{name}.py")):
+            # "import cqcap.reference", "from .reference import x", "from . import reference"
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            if any(module.split(".")[-1] == "reference" for module in imported):
+                offenders.append(f"{name}.py:{node.lineno}")
+    assert offenders == []
+
+
+def test_importing_the_package_and_cli_leaves_the_reference_math_unloaded():
+    code = "import sys, cqcap, cqcap.cli; print('cqcap.reference' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SOURCE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_solver_has_one_divergence_and_one_holevo_path():
