@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 from .channel import CqChannel
-from .errors import BadParams
 from .solver import CapacityResult, SolverConfig, solve_fixed_lambda
 
 
@@ -29,10 +28,9 @@ def constrained_capacity(ch: CqChannel, cost_limit: float, epsilon: float = 1e-6
     costliest letter's cost inside its step, and a budget at or above it
     cannot bind. A budget at or just above the cheapest letter cost is the
     solver's infinite tilt, whose trace still covers every letter; a budget
-    below it raises ``InfeasibleCost``.
+    below it raises ``InfeasibleCost``. ``SolverConfig`` checks the
+    parameters, so a bad one raises ``BadParams`` before the solve starts.
     """
-    if math.isnan(cost_limit):
-        raise BadParams("budget must be a number or inf, got nan")
     # called through this module's global, which the benchmark wraps to count solves
     return solve_fixed_lambda(
         ch, SolverConfig(epsilon=epsilon, max_iter=max_iter, cost_limit=cost_limit))[0]

@@ -1,14 +1,15 @@
 """Command-line front end: ``capacity``, ``validate``, and ``gen`` subcommands.
 
 Reports go to stdout as JSON with floats at 17 significant digits; errors go
-to stderr as a one-line JSON object. Exit codes: 0 success, 2 file/parse/
-parameter errors, 3 solver errors, 4 oracle disagreement.
+to stderr as a one-line JSON object. Exit codes: 0 success, 2 file/parse
+errors and the library's ``BadParams`` (its parameter types check every
+parameter, after the channel load and before any solve), 3 solver errors,
+4 oracle disagreement.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import hashlib
@@ -114,41 +115,36 @@ def _result_payload(result: CapacityResult) -> dict:
     }
 
 
-def _check_capacity_args(args) -> None:
-    if not args.eps > 0:
-        raise BadParams(f"--eps must be positive, got {args.eps!r}")
-    if args.max_iter < 1:
-        raise BadParams(f"--max-iter must be at least 1, got {args.max_iter!r}")
-    if args.cost_limit is not None and math.isnan(args.cost_limit):
-        raise BadParams("--cost-limit must be a number or inf, got nan")
-
-
 def cmd_capacity(args) -> int:
     try:
-        _check_capacity_args(args)
         channel, digest = _load(args.channel)
-        # opened now, so that a path it cannot write fails before the solve
-        trace_file = (contextlib.nullcontext() if args.trace is None
-                      else open(args.trace, "w", newline="", encoding="utf-8"))
+        if args.trace is not None:
+            # a path it cannot write fails before the solve, and one it can is
+            # left as it is until the solve's trace replaces it
+            open(args.trace, "a").close()
     except PARSE_ERRORS as exc:
         _emit_error(exc)
         return EXIT_PARSE
     # no budget is an infinite one
     budget = math.inf if args.cost_limit is None else args.cost_limit
     try:
-        with trace_file as fh:
-            started = time.perf_counter()
-            result = constrained_capacity(channel, budget, epsilon=args.eps,
-                                          max_iter=args.max_iter)
-            elapsed = time.perf_counter() - started
-            if fh is not None:
-                _write_trace_csv(fh, result, channel.costs)
+        started = time.perf_counter()
+        result = constrained_capacity(channel, budget, epsilon=args.eps, max_iter=args.max_iter)
+        elapsed = time.perf_counter() - started
+    except BadParams as exc:
+        # the library checks its parameters before the solve starts
+        _emit_error(exc)
+        return EXIT_PARSE
     except CqcapError as exc:
         _emit_error(exc)
         return EXIT_SOLVER
-    except OSError as exc:
-        _emit_error(exc)
-        return EXIT_PARSE
+    if args.trace is not None:
+        try:
+            with open(args.trace, "w", newline="", encoding="utf-8") as fh:
+                _write_trace_csv(fh, result, channel.costs)
+        except OSError as exc:
+            _emit_error(exc)
+            return EXIT_PARSE
     report = {
         "input": {"path": args.channel, "sha256": digest},
         "config": {
@@ -166,15 +162,14 @@ def cmd_capacity(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        if args.oracle_grid is not None and args.oracle_grid < 2:
-            raise BadParams(f"--oracle-grid must be at least 2, got {args.oracle_grid!r}")
+        # built before the load, so that a bad resolution fails on any channel
+        spec = None if args.oracle_grid is None else GridSpec(args.oracle_grid)
         channel, digest = _load(args.channel)
         # the oracle runs first, so that a grid over its size limit is a
         # parameter error before any solve
         grid = None
         if channel.size <= MAX_GRID_ALPHABET:
-            resolution = args.oracle_grid or DEFAULT_GRID_RESOLUTION[channel.size]
-            grid = grid_capacity(channel, GridSpec(resolution))
+            grid = grid_capacity(channel, spec or GridSpec(DEFAULT_GRID_RESOLUTION[channel.size]))
     except PARSE_ERRORS as exc:
         _emit_error(exc)
         return EXIT_PARSE
@@ -219,7 +214,10 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built on first use, not at import, so that importing the CLI stays cheap;
+    # cached, so every in-process main call shares the one parser
     parser = argparse.ArgumentParser(
         prog="cqcap",
         description="Capacity of classical-quantum channels with certified bounds.",
@@ -233,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--eps", type=float, default=1e-6,
                      help="target certified gap in bits (default 1e-6)")
     cap.add_argument("--max-iter", type=int, default=1_000_000,
-                     help="iteration cap per inner solve (default 1e6)")
+                     help="iteration cap per solve (default 1e6)")
     cap.add_argument("--trace", default=None, help="write per-iteration CSV here")
     cap.set_defaults(func=cmd_capacity)
 
@@ -254,14 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on first use, not at import, so that importing the CLI stays cheap
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -25,8 +25,8 @@ class LengthMismatch(CqcapError):
     """Vector length does not match the channel alphabet size."""
 
 
-class BadParams(CqcapError):
-    """Invalid generator or constructor parameters."""
+class BadParams(CqcapError, ValueError):
+    """Invalid solve, grid, generator or constructor parameters; also a ValueError."""
 
 
 class SupportViolation(CqcapError):

@@ -27,14 +27,17 @@ DEFAULT_GRID_RESOLUTION = {1: 2, 2: 1000, 3: 200, 4: 60}
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Simplex grid with step 1/resolution; optionally penalize cost at a fixed multiplier."""
+    """Simplex grid with step 1/resolution; optionally penalize cost at a fixed multiplier.
+
+    A resolution below 2 raises ``BadParams``.
+    """
 
     resolution: int
     penalty_multiplier: float | None = None
 
     def __post_init__(self):
         if self.resolution < 2:
-            raise ValueError("grid resolution must be at least 2")
+            raise BadParams(f"grid resolution must be at least 2, got {self.resolution!r}")
 
 
 @dataclass(frozen=True)

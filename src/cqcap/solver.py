@@ -88,7 +88,7 @@ from .channel import (
     holevo_quantity,
     kl_divergence_bits,
 )
-from .errors import EmptyTrace, InfeasibleCost, SupportViolation
+from .errors import BadParams, EmptyTrace, InfeasibleCost, SupportViolation
 from .hermitian import LN2
 
 STALL_TOL_BITS = 1e-14
@@ -105,7 +105,7 @@ MIN_HEADROOM = math.exp(-LOG_WEIGHT_FLOOR / 2)
 def _check_multiplier(multiplier: float) -> None:
     # a nan fails every comparison, so it fails this one too
     if not 0 <= multiplier < math.inf:
-        raise ValueError(f"multiplier must be finite and nonnegative, got {multiplier!r}")
+        raise BadParams(f"multiplier must be finite and nonnegative, got {multiplier!r}")
 
 
 def _penalty_nats(ch: CqChannel, multiplier: float) -> np.ndarray:
@@ -114,7 +114,7 @@ def _penalty_nats(ch: CqChannel, multiplier: float) -> np.ndarray:
     # a Python float product overflows to inf without a warning, and it bounds
     # every entry of the array product below
     if not math.isfinite(multiplier * LN2 * float(ch.costs.max())):
-        raise ValueError(f"multiplier {multiplier!r} makes a penalty that is not finite")
+        raise BadParams(f"multiplier {multiplier!r} makes a penalty that is not finite")
     return multiplier * LN2 * ch.costs
 
 
@@ -131,6 +131,8 @@ class SolverConfig:
     ``multiplier`` is the cost penalty in bits per cost unit; ``epsilon``
     is the target certified gap in bits. A finite ``cost_limit`` tilts each
     step onto that budget instead (module docstring).
+    It is the one check of the solve parameters: each bad one raises
+    ``BadParams`` naming its value.
     """
 
     multiplier: float = 0.0
@@ -141,13 +143,13 @@ class SolverConfig:
     def __post_init__(self):
         _check_multiplier(self.multiplier)
         if math.isnan(self.cost_limit):
-            raise ValueError("cost_limit must be a number or inf, got nan")
+            raise BadParams("cost_limit must be a number or inf, got nan")
         if self.cost_limit < math.inf and self.multiplier != 0.0:
-            raise ValueError("a budgeted run takes no fixed multiplier")
+            raise BadParams(f"a budgeted run takes no fixed multiplier, got {self.multiplier!r}")
         if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+            raise BadParams(f"epsilon must be positive, got {self.epsilon!r}")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+            raise BadParams(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,23 @@ class TestChordSearch:
             constrained_capacity(orthogonal_channel(2, costs=[0.0, 1.0]), math.nan)
         assert calls == []
 
+    @pytest.mark.parametrize("kwargs", [{"epsilon": 0.0}, {"epsilon": math.nan},
+                                        {"max_iter": 0}],
+                             ids=["eps-zero", "eps-nan", "max-iter-zero"])
+    def test_bad_solve_parameters_rejected_before_any_solve(self, monkeypatch, kwargs):
+        calls = []
+        monkeypatch.setattr(cqcap.capacity, "solve_fixed_lambda",
+                            lambda *args, **kw: calls.append(1))
+        ch = orthogonal_channel(2, costs=[0.0, 1.0])
+        for budget in (0.5, math.inf):
+            with pytest.raises(BadParams) as raised:
+                constrained_capacity(ch, budget, **kwargs)
+            # also a ValueError, so a caller that catches one still does
+            assert isinstance(raised.value, ValueError)
+        with pytest.raises(BadParams):
+            unconstrained_capacity(ch, **kwargs)
+        assert calls == []
+
     def test_cheapest_budget_with_tied_cheapest_letters(self):
         # only the two zero-cost letters fit, and together they carry one bit
         ch = orthogonal_channel(3, costs=[0.0, 0.0, 1.0])

@@ -56,6 +56,16 @@ class TestInputDistribution:
         with pytest.raises(ValueError):
             InputDistribution([0.5, 0.4])
 
+    @pytest.mark.parametrize("probs, message", [
+        (np.full((2, 2), 0.25), "non-empty 1-D vector"),
+        ([], "non-empty 1-D vector"),
+        ([np.nan, 1.0], "must be finite"),
+        ([np.inf, 0.0], "must be finite"),
+    ], ids=["2-d", "empty", "nan", "inf"])
+    def test_malformed_vector_rejected(self, probs, message):
+        with pytest.raises(ValueError, match=message):
+            InputDistribution(probs)
+
     def test_uniform_and_point_mass(self):
         assert np.allclose(InputDistribution.uniform(4).probs, 0.25)
         assert np.allclose(InputDistribution.point_mass(3, 1).probs, [0, 1, 0])
@@ -189,6 +199,17 @@ class TestStackValidation:
     def test_empty_state_list_rejected(self):
         with pytest.raises(BadParams):
             CqChannel([])
+
+    @pytest.mark.parametrize("costs, error", [
+        ([0.0, 1.0, 2.0], LengthMismatch),
+        ([[0.0, 1.0]], LengthMismatch),
+        ([0.0, -1.0], BadParams),
+        ([0.0, np.nan], BadParams),
+        ([np.inf, 1.0], BadParams),
+    ], ids=["too-long", "2-d", "negative", "nan", "inf"])
+    def test_bad_costs_rejected(self, costs, error):
+        with pytest.raises(error):
+            CqChannel(orthogonal_channel(2).states, costs)
 
     def test_validated_states_are_kept_as_given(self):
         rho = validate_density(np.diag([0.9, 0.1]))
@@ -348,6 +369,16 @@ class TestChannelFiles:
         else:
             doc["costs"][0] = value
         with pytest.raises(ValueError):
+            channel_from_jsonable(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "must be a JSON object"),
+        ("channel", "must be a JSON object"),
+        ({"dim": 2, "states": []}, "'states' must be a non-empty list"),
+        ({"dim": 2}, "'states' must be a non-empty list"),
+    ], ids=["list", "string", "empty-states", "no-states"])
+    def test_malformed_document_rejected(self, doc, message):
+        with pytest.raises(ValueError, match=message):
             channel_from_jsonable(doc)
 
     def test_integer_entries_and_costs_load(self):

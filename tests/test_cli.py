@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +72,15 @@ class TestGen:
         assert code == 2
         assert json.loads(err)["error"] == "BadParams"
 
+    def test_costs_uniform_prices_every_letter_at_one(self, capsys, tmp_path):
+        out = tmp_path / "u.json"
+        code, _, err = run_cli(capsys, ["gen", "--n", "3", "--m", "2", "--seed", "9",
+                                        "--kind", "mixed", "--out", str(out),
+                                        "--costs", "uniform"])
+        assert code == 0 and err == ""
+        assert json.loads(out.read_text())["costs"] == [1.0, 1.0, 1.0]
+        assert cqcap.load_channel(out).costs.tolist() == [1.0, 1.0, 1.0]
+
     def test_costs_random_is_deterministic(self, capsys, tmp_path):
         out = tmp_path / "c.json"
         args = ["gen", "--n", "3", "--m", "2", "--seed", "9", "--kind", "pure",
@@ -132,12 +143,35 @@ class TestCapacityCommand:
         assert json.loads(err)["error"] == "InfeasibleCost"
 
     @pytest.mark.parametrize("flags", [["--eps", "0"], ["--eps", "-1"],
-                                       ["--max-iter", "0"], ["--cost-limit", "nan"]])
+                                       ["--max-iter", "0"], ["--cost-limit", "nan"],
+                                       ["--eps", "nan"], ["--max-iter", "-3"]])
     def test_bad_parameters_exit_2(self, capsys, budget_file, flags):
         code, out, err = run_cli(capsys, ["capacity", "--channel", budget_file] + flags)
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "BadParams"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--eps", "0"], "epsilon must be positive, got 0.0"),
+        (["--max-iter", "0"], "max_iter must be at least 1, got 0"),
+        (["--cost-limit", "nan"], "cost_limit must be a number or inf, got nan"),
+    ], ids=["eps", "max-iter", "cost-limit"])
+    def test_library_rejects_bad_parameters_before_the_solve(self, capsys, monkeypatch,
+                                                            budget_file, flags, message):
+        calls = []
+        monkeypatch.setattr(cqcap.capacity, "solve_fixed_lambda",
+                            lambda *args, **kwargs: calls.append(1))
+        code, out, err = run_cli(capsys, ["capacity", "--channel", budget_file] + flags)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "BadParams", "message": message}
+        assert calls == []
+
+    def test_channel_is_loaded_before_the_parameters_are_checked(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, ["capacity", "--channel", str(tmp_path / "nope.json"),
+                                        "--eps", "0"])
+        assert code == 2
+        assert json.loads(err)["error"] == "FileNotFoundError"
 
     def test_infinite_budget_is_inactive(self, capsys, budget_file):
         code, out, _ = run_cli(
@@ -213,6 +247,38 @@ class TestCapacityCommand:
         assert json.loads(err)["error"] == "FileNotFoundError"
         assert calls == []
 
+    def test_failed_trace_write_after_the_solve_exit_2(self, capsys, monkeypatch,
+                                                       orth_file, tmp_path):
+        from cqcap import cli
+
+        folder = tmp_path / "gone"
+        folder.mkdir()
+        solve = cli.constrained_capacity
+
+        def solve_then_remove_folder(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            shutil.rmtree(folder)
+            return result
+
+        monkeypatch.setattr(cli, "constrained_capacity", solve_then_remove_folder)
+        code, out, err = run_cli(capsys, ["capacity", "--channel", orth_file, "--trace",
+                                          str(folder / "trace.csv")])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "FileNotFoundError"
+
+    def test_failed_solve_leaves_the_trace_file_as_it_was(self, capsys, tmp_path):
+        path = tmp_path / "pricey.json"
+        save_channel(orthogonal_channel(2, costs=[0.5, 1.0]), path)
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("kept\n")
+        for trace in (old, new):
+            code, _, _ = run_cli(capsys, ["capacity", "--channel", str(path),
+                                          "--cost-limit", "0.1", "--trace", str(trace)])
+            assert code == 3
+        assert old.read_text() == "kept\n"
+        assert new.read_text() == ""
+
     def test_reports_deterministic_modulo_timing(self, capsys, orth_file):
         _, out1, _ = run_cli(capsys, ["capacity", "--channel", orth_file])
         _, out2, _ = run_cli(capsys, ["capacity", "--channel", orth_file])
@@ -283,6 +349,30 @@ class TestValidateCommand:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "BadParams"
+
+    def test_oracle_disagreement_exit_4(self, capsys, monkeypatch, tmp_path):
+        from cqcap import cli
+
+        path = tmp_path / "pair.json"
+        save_channel(nonorthogonal_pair_channel(), path)
+        grid = cli.grid_capacity
+        monkeypatch.setattr(cli, "grid_capacity", lambda ch, spec: dataclasses.replace(
+            grid(ch, spec), value_bits=0.0))
+        code, out, _ = run_cli(capsys, ["validate", "--channel", str(path)])
+        assert code == 4
+        assert "oracle check: FAIL" in out
+        assert not out.endswith("ok\n")
+
+    def test_bad_grid_fails_before_the_load_on_any_alphabet(self, capsys, tmp_path):
+        path = tmp_path / "five.json"
+        save_channel(random_channel(5, 2, 3, "mixed"), path)
+        for channel in (str(path), str(tmp_path / "nope.json")):
+            code, out, err = run_cli(capsys, ["validate", "--channel", channel,
+                                              "--oracle-grid", "1"])
+            assert code == 2
+            assert out == ""
+            assert json.loads(err) == {"error": "BadParams",
+                                       "message": "grid resolution must be at least 2, got 1"}
 
     def test_bad_trace_state_exit_2(self, capsys, tmp_path):
         path = tmp_path / "heavy.json"

@@ -97,6 +97,15 @@ class TestClassicalBa:
         with pytest.raises(NotStochastic):
             classical_ba(np.array([[1.1, -0.1], [0.5, 0.5]]))
 
+    def test_one_dimensional_array_rejected(self):
+        with pytest.raises(NotStochastic, match="2-D transition matrix"):
+            classical_ba(np.array([0.5, 0.5]))
+
+    def test_no_certified_value_within_max_iter_raises(self):
+        w = np.array([[0.9, 0.1], [0.2, 0.8]])
+        with pytest.raises(RuntimeError, match="after 1 iterations"):
+            classical_ba(w, epsilon=1e-12, max_iter=1)
+
 
 class TestCrossChecks:
     def test_diagonal_channels_match_classical_solver(self):
@@ -117,6 +126,14 @@ class TestCrossChecks:
             oracle = grid_capacity(ch, GridSpec(500))
             assert oracle.value_bits <= res.gap_certificate_bits[1] + 1e-10
             assert max(res.trace.objective_bits) <= oracle.value_bits + oracle.slack_bits
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize("resolution", [1, 0, -5])
+    def test_resolution_below_two_is_bad_params(self, resolution):
+        with pytest.raises(BadParams, match=f"at least 2, got {resolution}") as raised:
+            GridSpec(resolution)
+        assert isinstance(raised.value, ValueError)
 
 
 class TestGridLimit:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from cqcap import (
     unconstrained_capacity,
     upper_bound,
 )
-from cqcap.errors import EmptyTrace, InfeasibleCost, SupportViolation
+from cqcap.errors import BadParams, EmptyTrace, InfeasibleCost, SupportViolation
 from cqcap.hermitian import EIGENVALUE_REL, LN2
 from cqcap.solver import TILT_TOL_REL, _tilt, _update
 from cqcap.oracle import DEFAULT_GRID_RESOLUTION, GridSpec, grid_capacity
@@ -862,3 +863,24 @@ class TestSolverConfig:
                      lambda: solve_fixed_lambda(ch, SolverConfig(multiplier=1e300))):
             with pytest.raises(ValueError, match="multiplier 1e\\+300 makes a penalty"):
                 call()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"epsilon": 0.0}, "epsilon must be positive, got 0.0"),
+        ({"epsilon": -1e-6}, "epsilon must be positive, got -1e-06"),
+        ({"epsilon": math.nan}, "epsilon must be positive, got nan"),
+        ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+        ({"cost_limit": math.nan}, "cost_limit must be a number or inf, got nan"),
+        ({"multiplier": -1.0}, "multiplier must be finite and nonnegative, got -1.0"),
+        ({"multiplier": 1.0, "cost_limit": 0.5},
+         "a budgeted run takes no fixed multiplier, got 1.0"),
+    ], ids=["eps-zero", "eps-negative", "eps-nan", "max-iter-zero", "budget-nan",
+            "multiplier-negative", "multiplier-with-budget"])
+    def test_a_bad_parameter_is_bad_params_naming_its_value(self, fields, message):
+        with pytest.raises(BadParams, match=re.escape(message)) as raised:
+            SolverConfig(**fields)
+        assert isinstance(raised.value, ValueError)
+
+    def test_an_overflowing_penalty_is_bad_params(self):
+        ch = CqChannel(random_channel(3, 2, 1, "mixed").states, [0, 1e10, 2e10])
+        with pytest.raises(BadParams, match="multiplier 1e\\+300 makes a penalty"):
+            solve_fixed_lambda(ch, SolverConfig(multiplier=1e300))

@@ -143,6 +143,17 @@ def test_capacity_is_one_solve_on_the_callers_channel():
     assert "MIN_HEADROOM" not in _names(tree)
 
 
+def test_library_types_own_every_parameter_check():
+    # SolverConfig and GridSpec check the solve and grid parameters: the
+    # capacity layer raises nothing itself, and the CLI only maps BadParams
+    # to its exit code
+    capacity = _module(SOURCE_DIR / "capacity.py")
+    assert [node.lineno for node in ast.walk(capacity) if isinstance(node, ast.Raise)] == []
+    raises = [node for node in ast.walk(_module(SOURCE_DIR / "cli.py"))
+              if isinstance(node, ast.Raise)]
+    assert [node.lineno for node in raises if "BadParams" in _names(node)] == []
+
+
 def _module(path):
     return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
