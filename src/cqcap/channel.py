@@ -28,6 +28,7 @@ from .hermitian import (
 )
 
 SIMPLEX_TOL = 1e-12
+CURVATURE_CLOSE = 1e-4  # relative eigenvalue distance below which K takes the mean derivative
 
 
 class InputDistribution:
@@ -247,8 +248,10 @@ def _spectral_terms(ch: CqChannel, w: np.ndarray):
 
     Returns the eigenvalues of the support-basis mixture sigma (before
     raising), the divergences against tau', sigma with its eigenvalues raised
-    to the cutoff c (nats), and the upper bound's excess (nats); the
-    ``cqcap.solver`` docstring says why they certify.
+    to the cutoff c (nats), the upper bound's excess (nats), and the
+    eigenvectors of sigma (None for a classical channel), which
+    ``_curvature`` reuses; the ``cqcap.solver`` docstring says why they
+    certify.
 
     The excess also charges for the support basis. With delta the trace the
     raising added, T = V tau' V^H + c (1 - V V^H) is block diagonal, so
@@ -271,7 +274,7 @@ def _spectral_terms(ch: CqChannel, w: np.ndarray):
     """
     # w is a simplex vector the caller vouches for, so the mixture of validated
     # states is Hermitian with unit trace and needs only its spectrum
-    rows = ch._diagonal_rows
+    rows, evecs = ch._diagonal_rows, None
     if rows is None:
         evals, evecs = np.linalg.eigh(_support_mixture(ch, w))
     else:
@@ -286,7 +289,44 @@ def _spectral_terms(ch: CqChannel, w: np.ndarray):
     div = np.maximum(-ch.letter_entropies_nats - cross, 0.0)
     added = float((raised - evals).sum()) + (ch.dim - evals.size) * floor
     excess = math.log1p(added) - ch._outside_mass * math.log(floor)
-    return evals, div, excess
+    return evals, div, excess, evecs
+
+
+def _curvature(ch: CqChannel, active: np.ndarray, evals: np.ndarray, evecs) -> np.ndarray:
+    """H_xy = -dD_x/dp_y over the letters ``active``, from one step's spectrum.
+
+    ``evals`` and ``evecs`` are what ``_spectral_terms`` returned at p, so
+    the curvature takes no spectrum of its own. The divergences are
+    -S(rho_x) - Tr(rho_x f(sigma)) with f = log max(., c), and by the
+    Daleckii-Krein formula df(sigma)[E] = U (K o U^H E U) U^H, with K the
+    divided differences of f on the eigenvalues: 1/lambda_i on the diagonal,
+    0 where both eigenvalues are raised. So with R_x = U^H rho_x U,
+    H_xy = sum_ij conj(R_x)_ij (R_y)_ij K_ij, one real GEMM on the packed
+    rows of R. A classical channel's R_x is the diagonal row W_x, and
+    H = (W / lambda) W^T over the unraised entries. The cutoff c moves with
+    p too; that term is left out. H is symmetric and positive semidefinite.
+    """
+    floor = EIGENVALUE_REL * float(evals.max())
+    raised = np.maximum(evals, floor)
+    derivative = np.where(evals >= floor, 1.0 / raised, 0.0)
+    if evecs is None:
+        rows = ch._diagonal_rows[active]
+        return (rows * derivative) @ rows.T
+    d = evals.size
+    log_raised = np.log(raised)
+    diff = evals[:, None] - evals
+    # the quotient loses its digits as two eigenvalues meet, where the mean
+    # of their derivatives is good to the square of their relative distance
+    close = np.abs(diff) <= CURVATURE_CLOSE * np.maximum(raised[:, None], raised)
+    kernel = 0.5 * (derivative[:, None] + derivative)
+    np.divide(log_raised[:, None] - log_raised, diff, out=kernel, where=~close)
+    # R_x = U^H rho_x U for every active letter, as two GEMMs
+    rows = ch.support_stack[active]
+    k = rows.shape[0]
+    right = (rows.reshape(k * d, d) @ evecs).reshape(k, d, d).transpose(1, 0, 2)
+    rotated = (evecs.conj().T @ right.reshape(d, k * d)).reshape(d, k, d).transpose(1, 0, 2)
+    packed = np.ascontiguousarray(rotated).reshape(k, -1).view(np.float64)
+    return (packed * np.repeat(kernel.reshape(-1), 2)) @ packed.T
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,8 @@ def _result_payload(result: CapacityResult) -> dict:
         "gap_certificate_bits": list(result.gap_certificate_bits),
         "termination": result.termination.value,
         "iterations": result.iterations,
+        "rejected_steps": result.rejected_steps,
+        "newton_steps": result.newton_steps,
         "certified": result.certified,
     }
 

@@ -48,6 +48,32 @@ state, valid at any distribution, so the certificate does not depend on
 which update led there. A run that stops at s returns T(s), whose penalized
 Holevo value is at least log Z(s), so it carries the lower bound.
 
+A fixed-penalty run also proposes a Newton step, from its 4th step on
+(``NEWTON_START``; the first three are first-order steps, whose rate
+criterion 07 reads). At the optimum every letter of the support has the same
+gain t and no letter a larger one, so the proposal solves the KKT system of
+the active letters A (mass above ``NEWTON_ACTIVE_MASS``, or gain above log
+Z): H_AA dp + t 1 = gain_A, 1.dp = 0, with H = -dD/dp from
+``cqcap.channel._curvature``, which reuses the eigenvectors of the step's own
+``eigh``, so a proposal costs one spectrum, that of its own evaluation. It
+is skipped when more letters are active than the support dimension d (a
+classical H has rank at most d, and there a minimum-norm step was seen to
+stop moving) and when the KKT matrix is singular. A letter whose gain lies within ``NEWTON_WINDOW``
+(or the largest gain's lead) below log Z may still belong to the support:
+when the step would take more than ``NEWTON_SPARE`` of its mass, it leaves
+the system, which is solved again without it, and takes the extrapolated
+factor gamma (gain - log Z) instead, so that a letter with a small optimal
+mass is not crushed to where no ascent step can bring it back. The rest of
+dp is damped to ``NEWTON_BOUNDARY`` of the way to the boundary, and letters
+outside A take gain - t. The proposal is kept only when its step value is
+strictly above log Z(s) (and then gamma grows as for a kept extrapolation);
+otherwise it counts in ``rejected_steps`` and the step is the extrapolated
+or plain one above. The proposal is one more distribution that both bounds
+hold at, so neither the certificate, nor the ascent of the recorded step
+values (criterion 05), nor the returned T(s) changes. A tilted run takes no
+polish: its tilt moves with p, so the KKT system would have to be solved
+jointly with the budget.
+
 A run chooses its step rule before its loop: a fixed penalty vector, or a
 tilt solved onto the budget at each step. A budget S on the expected cost
 c.p (``SolverConfig.cost_limit``) is met inside the step, as in Blahut's and
@@ -83,6 +109,7 @@ import numpy as np
 from .channel import (
     CqChannel,
     InputDistribution,
+    _curvature,
     _spectral_terms,
     as_probability_vector,
     holevo_quantity,
@@ -100,6 +127,11 @@ LOG_WEIGHT_FLOOR = 700.0  # nats; exp(-700) is still a normal float
 TILT_TOL_REL = 1e-12  # a tilted update costs (1 - this) to 1 times the budget
 TILT_MAX_EVALS = 64  # then the tilt settles for its bracket's feasible end
 MIN_HEADROOM = math.exp(-LOG_WEIGHT_FLOOR / 2)
+NEWTON_START = 4  # the first three steps are first-order ones (module docstring)
+NEWTON_ACTIVE_MASS = 1e-10
+NEWTON_BOUNDARY = 0.99  # the share of the way to the simplex's boundary a step may go
+NEWTON_WINDOW = 3e-3  # nats below log Z within which a letter may still be in the support
+NEWTON_SPARE = 0.5  # a share of its mass that such a letter may lose to one step
 
 
 def _check_multiplier(multiplier: float) -> None:
@@ -201,10 +233,11 @@ class CapacityResult:
     that the budget set the answer: a step had to be tilted and the returned
     distribution costs the budget, or the tilt is infinite.
     ``trace`` records the ``iterations`` steps over every letter of the
-    channel. ``rejected_steps`` counts the extrapolated steps that lost ascent
-    and were replaced by the plain update; the run took ``iterations +
-    rejected_steps + 1`` spectra of a mixture, the last a values-only one in
-    ``holevo_quantity``.
+    channel. ``rejected_steps`` counts the proposals that lost ascent: Newton
+    proposals and extrapolated steps, each replaced by the next rule;
+    ``newton_steps`` counts the Newton steps taken. The run took
+    ``iterations + rejected_steps + 1`` spectra of a mixture, the last a
+    values-only one in ``holevo_quantity``.
     """
 
     capacity_bits: float
@@ -217,13 +250,14 @@ class CapacityResult:
     trace: IterationTrace
     iterations: int
     rejected_steps: int
+    newton_steps: int
     certified: bool
 
 
 def make_iteration_state(ch: CqChannel, p) -> IterationState:
     """Bundle a distribution with its mixture's spectrum and per-letter divergences."""
     w = as_probability_vector(p, ch.size)
-    return IterationState(w, *_spectral_terms(ch, w))
+    return IterationState(w, *_spectral_terms(ch, w)[:3])
 
 
 def surrogate_objective(ch: CqChannel, multiplier: float, p, p_prime) -> float:
@@ -274,7 +308,7 @@ def ba_step(ch: CqChannel, multiplier: float, state: IterationState):
     with np.errstate(divide="ignore"):
         log_p = np.log(state.probs)
     w = _update(log_p, gain)
-    return IterationState(w, *_spectral_terms(ch, w)), _log_partition(log_p + gain) / LN2
+    return IterationState(w, *_spectral_terms(ch, w)[:3]), _log_partition(log_p + gain) / LN2
 
 
 def upper_bound(ch: CqChannel, multiplier: float, state: IterationState) -> float:
@@ -285,6 +319,50 @@ def upper_bound(ch: CqChannel, multiplier: float, state: IterationState) -> floa
     """
     gain = state.divergences_nats - _penalty_nats(ch, multiplier)
     return (float(gain.max()) + state.excess_nats) / LN2
+
+
+def _newton_proposal(ch, p, log_p, gain, log_z, spectrum, gamma):
+    """A Newton step on the KKT system gain_A = t of the active letters, or None.
+
+    Solves H_AA dp + t 1 = gain_A, 1.dp = 0 with ``_curvature``'s H, spares
+    the undecided letters it would more than halve, and damps dp to the
+    boundary; the spared letters take the extrapolated factor and the
+    letters outside A take gain - t (module docstring).
+    """
+    evals, evecs = spectrum
+    active = (p > NEWTON_ACTIVE_MASS) | (gain > log_z)
+    if np.count_nonzero(active) > evals.size:
+        return None
+    letters = np.flatnonzero(active)
+    curvature = _curvature(ch, active, evals, evecs)
+    undecided = gain[letters] >= log_z - max(NEWTON_WINDOW, float(gain.max()) - log_z)
+    while True:
+        j = letters.size
+        kkt = np.ones((j + 1, j + 1))
+        kkt[:j, :j] = curvature
+        kkt[j, j] = 0.0
+        try:
+            solution = np.linalg.solve(kkt, np.append(gain[letters], 0.0))
+        except np.linalg.LinAlgError:
+            # a singular KKT matrix: no Newton step
+            return None
+        delta, level = solution[:j], solution[j]
+        mass = p[letters]
+        spared = undecided & (delta <= -NEWTON_SPARE * mass)
+        if not spared.any():
+            break
+        kept = ~spared
+        letters, undecided, curvature = letters[kept], undecided[kept], curvature[np.ix_(kept, kept)]
+    falls = delta < 0.0
+    share = min(1.0, NEWTON_BOUNDARY * float((mass[falls] / -delta[falls]).min())
+                if falls.any() else 1.0)
+    step = gain - level
+    # the active letters no longer in the system are the spared ones
+    spared = active
+    spared[letters] = False
+    step[spared] = gamma * (gain[spared] - log_z)
+    step[letters] = np.log1p(share * delta / mass)
+    return _update(log_p, step)
 
 
 def _tilt(log_p, div, gamma, powers, budget, nu):
@@ -338,8 +416,9 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
 
     Returns ``(CapacityResult, IterationTrace)``, the trace being the
     result's own ``trace``. The step rule is chosen before the loop (module
-    docstring). Each step takes the extrapolated update when it keeps the
-    ascent and the plain update otherwise; the trace records the steps
+    docstring). Each step takes the Newton proposal of a fixed-penalty run,
+    else the extrapolated update, when it keeps the ascent, and the plain
+    update otherwise; the trace records the steps
     taken, and the returned distribution is the plain update of the last
     recorded state.
     Every step value is a lower bound and every step's upper bound is one
@@ -390,7 +469,7 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         # what the loop reads of a state: log w, div, the plain update's gain,
         # the step value (nats), the dual-line upper bound (bits) and the tilt
         log_w = log_of(w)
-        _, div, excess = _spectral_terms(ch, w)
+        evals, div, excess, evecs = _spectral_terms(ch, w)
         if solve_tilt:
             nu, log_z, cost = _tilt(log_w, div, 1.0, powers, budget, nu)
             gain = div - nu * powers[1]
@@ -398,15 +477,18 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         else:
             gain = div - penalty_nats
             value, line = _log_partition(log_w + gain), widen
-        return log_w, div, gain, value, (float(gain.max()) + excess) / LN2 + line, nu
+        bound = (float(gain.max()) + excess) / LN2 + line
+        return log_w, div, gain, value, bound, nu, (evals, evecs)
 
+    # a tilt moves with p, so only a fixed penalty takes the Newton polish
+    polish_from = math.inf if budgeted else NEWTON_START
     gamma = 1.0
     trace = IterationTrace()
-    iterations = rejected = stall_count = 0
+    iterations = rejected = newton = stall_count = 0
     lower, upper, best_nu = -math.inf, math.inf, nu
     tilted = False
     p = start
-    log_p, div, gain, log_z, bound_bits, nu = evaluate(p, nu)
+    log_p, div, gain, log_z, bound_bits, nu, spectrum = evaluate(p, nu)
     while True:
         value_bits = log_z / LN2
         trace.objective_bits.append(value_bits)
@@ -428,7 +510,21 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
             reason = TerminationReason.MAX_ITER
         else:
             reason = None
-        if reason is None:
+        if reason is not None:
+            break
+        terms = None
+        if iterations >= polish_from:
+            new_p = _newton_proposal(ch, p, log_p, gain, log_z, spectrum, gamma)
+            if new_p is not None:
+                terms = evaluate(new_p, nu)
+                # a tie is no ascent, and the extrapolated step may do better
+                if terms[3] > log_z:
+                    newton += 1
+                    gamma = min(GAMMA_MAX, GAMMA_GROWTH * gamma)
+                else:
+                    rejected += 1
+                    terms = None
+        if terms is None:
             step = gain
             # a solved tilt is solved again for the extrapolated proposal
             if solve_tilt and gamma != 1.0:
@@ -443,13 +539,11 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
                 gamma = 1.0
                 new_p = _update(log_p, gain)
                 terms = evaluate(new_p, nu)
-        else:
-            new_p = _update(log_p, gain)
         p = new_p
-        if reason is not None:
-            break
-        log_p, div, gain, log_z, bound_bits, nu = terms
+        log_p, div, gain, log_z, bound_bits, nu, spectrum = terms
 
+    # the plain update of the last recorded state
+    p = _update(log_p, gain)
     probs = InputDistribution(p)
     # the shifted cost the tilt meets, so a feasible distribution reports one
     expected_cost = cheapest + float(powers[1] @ p) if budgeted else float(ch.costs @ p)
@@ -466,6 +560,7 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         trace=trace,
         iterations=iterations,
         rejected_steps=rejected,
+        newton_steps=newton,
         certified=upper - capacity_bits <= config.epsilon,
     )
     # the pair form stays while the benchmark's inner-solve counter unpacks it

@@ -106,6 +106,17 @@ class TestCapacityCommand:
         assert report["result"]["iterations"] >= 1
         assert report["input"]["sha256"]
 
+    def test_report_states_the_spectra_it_took(self, capsys, tmp_path):
+        path = tmp_path / "mixed.json"
+        save_channel(random_channel(2, 3, 7, "mixed"), path)
+        code, out, _ = run_cli(capsys, ["capacity", "--channel", str(path), "--eps", "1e-8"])
+        assert code == 0
+        reported = json.loads(out)["result"]
+        solved = cqcap.unconstrained_capacity(cqcap.load_channel(path), epsilon=1e-8)
+        assert reported["iterations"] == solved.iterations
+        assert reported["rejected_steps"] == solved.rejected_steps > 0
+        assert reported["newton_steps"] == solved.newton_steps > 0
+
     def test_budgeted_run(self, capsys, budget_file, tmp_path):
         trace_path = tmp_path / "trace.csv"
         code, out, _ = run_cli(

@@ -25,12 +25,15 @@ from cqcap import (
 )
 from cqcap.errors import BadParams, EmptyTrace, InfeasibleCost, SupportViolation
 from cqcap.hermitian import EIGENVALUE_REL, LN2
-from cqcap.solver import TILT_TOL_REL, _tilt, _update
+from cqcap.channel import _curvature, _spectral_terms
+from cqcap.solver import NEWTON_START, TILT_TOL_REL, _tilt, _update
 from cqcap.oracle import DEFAULT_GRID_RESOLUTION, GridSpec, grid_capacity
 from cqcap.reference import output_state, relative_entropy_nats, trace_product
 from helpers import (
     BSC_CAPACITY,
     NONORTH_PAIR_CAPACITY,
+    diag_sweep_transition,
+    fock_coherent_channel,
     kernel_projector,
     nonorthogonal_pair_channel,
     orthogonal_channel,
@@ -884,3 +887,129 @@ class TestSolverConfig:
         ch = CqChannel(random_channel(3, 2, 1, "mixed").states, [0, 1e10, 2e10])
         with pytest.raises(BadParams, match="multiplier 1e\\+300 makes a penalty"):
             solve_fixed_lambda(ch, SolverConfig(multiplier=1e300))
+
+
+def _padded_channel(seed):
+    """Mixed qubit states placed in a 4-dimensional space: support dimension 2 < m."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(3):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[:2, :2] = a @ a.conj().T / float(np.trace(a @ a.conj().T).real)
+        states.append(rho)
+    return CqChannel(states)
+
+
+class TestCurvature:
+    """``_curvature`` is minus the Jacobian of the step kernel's divergences."""
+
+    CHANNELS = {
+        "pure": lambda: random_channel(3, 4, 71, "pure"),
+        "mixed": lambda: random_channel(4, 3, 72, "mixed"),
+        "padded": lambda: _padded_channel(73),
+        "classical": lambda: random_channel(4, 3, 74, "diagonal"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CHANNELS))
+    def test_matches_central_differences_and_is_symmetric_psd(self, kind):
+        ch = self.CHANNELS[kind]()
+        p = random_simplex_point(np.random.default_rng(75), ch.size, floor=0.2)
+        evals, _, _, evecs = _spectral_terms(ch, p)
+        if kind == "padded":
+            assert evals.size == 2 < ch.dim
+        assert (evecs is None) == (kind == "classical")
+        curvature = _curvature(ch, np.ones(ch.size, dtype=bool), evals, evecs)
+        h = 1e-6
+        columns = []
+        for y in range(ch.size):
+            step = np.zeros(ch.size)
+            step[y] = h
+            plus, minus = _spectral_terms(ch, p + step)[1], _spectral_terms(ch, p - step)[1]
+            columns.append(-(plus - minus) / (2 * h))
+        scale = float(np.abs(curvature).max())
+        np.testing.assert_allclose(curvature, np.column_stack(columns), rtol=0, atol=1e-6 * scale)
+        np.testing.assert_allclose(curvature, curvature.T, rtol=0, atol=1e-12 * scale)
+        assert float(np.linalg.eigvalsh(curvature).min()) >= -1e-12 * scale
+
+    def test_restricts_to_the_active_letters(self):
+        ch = self.CHANNELS["mixed"]()
+        evals, _, _, evecs = _spectral_terms(ch, np.full(ch.size, 1.0 / ch.size))
+        full = _curvature(ch, np.ones(ch.size, dtype=bool), evals, evecs)
+        active = np.array([True, False, True, True])
+        np.testing.assert_allclose(_curvature(ch, active, evals, evecs),
+                                   full[np.ix_(active, active)], rtol=1e-13, atol=0)
+
+
+class TestNewtonPolish:
+    """The second-order proposal of fixed-penalty runs, and the witnesses it mends."""
+
+    @pytest.mark.parametrize("seed, case", [(10, 75), (7, 143), (2, 50)])
+    def test_fock_coherent_witnesses_certify(self, seed, case):
+        # case 75 stalled without the polish; 143 and 50 stalled under a
+        # polish that crushed a letter still in the optimum's support
+        res, _ = solve_fixed_lambda(fock_coherent_channel(seed, case), SolverConfig(epsilon=1e-6))
+        assert res.termination is TerminationReason.GAP_REACHED
+        assert res.certified
+        assert res.newton_steps > 0
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_diag_sweep_witness_certifies_on_both_branches(self, rotated):
+        rows = diag_sweep_transition(6, 47)
+        u = random_unitary(np.random.default_rng(47), rows.shape[1]) if rotated else np.eye(rows.shape[1])
+        ch = CqChannel([u @ np.diag(row).astype(complex) @ u.conj().T for row in rows])
+        assert (ch._diagonal_rows is None) == rotated
+        res, _ = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8))
+        assert res.termination is TerminationReason.GAP_REACHED
+        reference = classical_ba(rows, epsilon=1e-8)
+        assert res.capacity_bits == pytest.approx(reference, abs=3e-8)
+
+    def test_every_newton_proposal_costs_one_spectrum(self, monkeypatch):
+        ch = fock_coherent_channel(2024, 7)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(1)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-6))
+        monkeypatch.undo()
+        assert res.newton_steps > 0 and res.rejected_steps > 0
+        # the curvature reuses each step's eigenvectors
+        assert len(calls) == res.iterations + res.rejected_steps
+
+    def test_first_order_steps_come_first(self, monkeypatch):
+        ch = fock_coherent_channel(2024, 3)
+        proposed = []
+        propose = cqcap.solver._newton_proposal
+
+        def recording(ch, p, *args):
+            proposed.append(p)
+            return propose(ch, p, *args)
+
+        monkeypatch.setattr(cqcap.solver, "_newton_proposal", recording)
+        res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-6))
+        assert res.newton_steps > 0
+        assert proposed[0] is trace.iterates[NEWTON_START - 1]
+
+    def test_ascent_holds_through_newton_steps(self):
+        res, trace = solve_fixed_lambda(fock_coherent_channel(2024, 3), SolverConfig(epsilon=1e-6))
+        assert res.newton_steps > 0
+        values = trace.objective_bits
+        assert all(b > a for a, b in zip(values[NEWTON_START - 1:], values[NEWTON_START:]))
+        assert res.capacity_bits >= max(values) - 1e-12
+
+    def test_budgeted_runs_take_no_newton_step(self):
+        ch = random_channel(3, 2, 5, "mixed")
+        ch = CqChannel(ch.states, [0.0, 1.0, 2.0])
+        res, _ = solve_fixed_lambda(ch, SolverConfig(cost_limit=0.5, epsilon=1e-8))
+        assert res.constraint_active
+        assert res.newton_steps == 0
+
+    def test_more_active_letters_than_the_support_dimension_skip_newton(self):
+        # four letters on a qubit: the curvature is singular, so no proposal is made
+        res, _ = solve_fixed_lambda(random_channel(4, 2, 5, "mixed"), SolverConfig(epsilon=1e-8))
+        assert res.termination is TerminationReason.GAP_REACHED
+        assert res.newton_steps == 0
