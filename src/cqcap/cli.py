@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -76,6 +75,9 @@ def _emit_error(exc: Exception) -> None:
 
 
 def _load(path: str) -> tuple[CqChannel, str]:
+    # imported on first use, not at import, so that importing the CLI stays cheap
+    import hashlib
+
     with open(path, "rb") as fh:
         payload = fh.read()
     digest = hashlib.sha256(payload).hexdigest()

@@ -56,20 +56,39 @@ the active letters A (mass above ``NEWTON_ACTIVE_MASS``, or gain above log
 Z): H_AA dp + t 1 = gain_A, 1.dp = 0, with H = -dD/dp from
 ``cqcap.channel._curvature``, which reuses the eigenvectors of the step's own
 ``eigh``, so a proposal costs one spectrum, that of its own evaluation. It
-is skipped when more letters are active than the support dimension d (a
-classical H has rank at most d, and there a minimum-norm step was seen to
-stop moving) and when the KKT matrix is singular. A letter whose gain lies within ``NEWTON_WINDOW``
-(or the largest gain's lead) below log Z may still belong to the support:
-when the step would take more than ``NEWTON_SPARE`` of its mass, it leaves
-the system, which is solved again without it, and takes the extrapolated
-factor gamma (gain - log Z) instead, so that a letter with a small optimal
-mass is not crushed to where no ascent step can bring it back. The rest of
-dp is damped to ``NEWTON_BOUNDARY`` of the way to the boundary, and letters
-outside A take gain - t. The proposal is kept only when its step value is
-strictly above log Z(s) (and then gamma grows as for a kept extrapolation);
-otherwise it counts in ``rejected_steps`` and the step is the extrapolated
-or plain one above. The proposal is one more distribution that both bounds
-hold at, so neither the certificate, nor the ascent of the recorded step
+is skipped when the KKT matrix is singular, and when more letters are active
+than the support dimension d, except on a classical channel whose extra
+letters all trail the level (below).
+
+The step is a primal active-set step (Nocedal and Wright, Numerical
+Optimization, ch. 16). A letter blocks it when dp takes ``NEWTON_SPARE`` of
+its mass or more while its gain lies within ``NEWTON_WINDOW`` (or the largest
+gain's lead) below log Z, where it may still belong to the support, or when
+dp crosses the boundary while its gain lies below that window. The blocking
+letter with the most negative relative move leaves the system with a fixed
+move, and the rest is solved again with that move on the right-hand side,
+H_SS dp_S + t 1 = gain_S - H_SL dp_L, 1.dp_S = -1.dp_L, from sub-blocks of
+the one KKT matrix, until no letter blocks. A letter below the window moves
+``NEWTON_BOUNDARY`` of the way to the boundary, so one leaving letter no
+longer damps every other move. A letter in the window that trails log Z by
+more than the largest gain leads it loses ``NEWTON_SPARE`` of its mass, so
+that it shrinks by halves rather than at the first-order rate; any other
+letter in the window is spared: it keeps no move in the system and takes
+the extrapolated factor gamma (gain - log Z), so that a letter with a small
+optimal mass is not crushed to where no ascent step can bring it back. The
+moves still solved for are damped to ``NEWTON_BOUNDARY`` of the way to the
+boundary, and letters outside A take gain - t. A classical H = (W / lambda)
+W^T has rank at most d, and each row of W sums to 1, so a null vector v of H
+has 1.v = 0 and the KKT matrix over more than d letters is singular; there
+the lowest-gain letters beyond d leave the system first, as above, when all
+of them trail the level.
+
+The proposal is kept only when its step value is strictly above log Z(s)
+(and then gamma grows as for a kept extrapolation); otherwise it counts in
+``rejected_steps`` and the step is the extrapolated or plain one above.
+Whatever letters leave the system, the proposal is one more distribution
+that both bounds hold at, and every letter still counts in the upper
+bound's max, so neither the certificate, nor the ascent of the recorded step
 values (criterion 05), nor the returned T(s) changes. A tilted run takes no
 polish: its tilt moves with p, so the KKT system would have to be solved
 jointly with the budget.
@@ -131,7 +150,7 @@ NEWTON_START = 4  # the first three steps are first-order ones (module docstring
 NEWTON_ACTIVE_MASS = 1e-10
 NEWTON_BOUNDARY = 0.99  # the share of the way to the simplex's boundary a step may go
 NEWTON_WINDOW = 3e-3  # nats below log Z within which a letter may still be in the support
-NEWTON_SPARE = 0.5  # a share of its mass that such a letter may lose to one step
+NEWTON_SPARE = 0.5  # the share of its mass at which such a letter blocks a step
 
 
 def _check_multiplier(multiplier: float) -> None:
@@ -324,45 +343,93 @@ def upper_bound(ch: CqChannel, multiplier: float, state: IterationState) -> floa
 def _newton_proposal(ch, p, log_p, gain, log_z, spectrum, gamma):
     """A Newton step on the KKT system gain_A = t of the active letters, or None.
 
-    Solves H_AA dp + t 1 = gain_A, 1.dp = 0 with ``_curvature``'s H, spares
-    the undecided letters it would more than halve, and damps dp to the
-    boundary; the spared letters take the extrapolated factor and the
-    letters outside A take gain - t (module docstring).
+    Solves H_AA dp + t 1 = gain_A, 1.dp = 0 with ``_curvature``'s H. The
+    letters that block the step leave the system through ``_take_out``,
+    which solves it again for the rest. The dp still solved for is damped
+    to the boundary, and the letters outside A take gain - t (module
+    docstring).
     """
     evals, evecs = spectrum
     active = (p > NEWTON_ACTIVE_MASS) | (gain > log_z)
-    if np.count_nonzero(active) > evals.size:
-        return None
     letters = np.flatnonzero(active)
-    curvature = _curvature(ch, active, evals, evecs)
-    undecided = gain[letters] >= log_z - max(NEWTON_WINDOW, float(gain.max()) - log_z)
-    while True:
-        j = letters.size
-        kkt = np.ones((j + 1, j + 1))
-        kkt[:j, :j] = curvature
-        kkt[j, j] = 0.0
+    j = letters.size
+    lead = float(gain.max()) - log_z
+    over, low = j - evals.size, None
+    if over > 0:
+        # a classical KKT matrix over more than d letters is singular; its
+        # lowest letters leave the system first, if they all trail the level
+        low = np.argsort(gain[letters])[:over]
+        if evecs is not None or not (gain[letters[low]] < log_z - lead).all():
+            return None
+    kkt = np.ones((j + 1, j + 1))
+    kkt[:j, :j] = _curvature(ch, active, evals, evecs)
+    kkt[j, j] = 0.0
+    rhs = np.append(gain[letters], 0.0)
+    mass = p[letters]
+    if low is not None:
+        solution = np.zeros(j + 1)
+    else:
         try:
-            solution = np.linalg.solve(kkt, np.append(gain[letters], 0.0))
+            solution = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             # a singular KKT matrix: no Newton step
             return None
-        delta, level = solution[:j], solution[j]
-        mass = p[letters]
-        spared = undecided & (delta <= -NEWTON_SPARE * mass)
-        if not spared.any():
-            break
-        kept = ~spared
-        letters, undecided, curvature = letters[kept], undecided[kept], curvature[np.ix_(kept, kept)]
+    taken = None
+    if low is not None or (solution[:j] <= -NEWTON_SPARE * mass).any():
+        taken = _take_out(kkt, rhs, solution, mass, gain[letters], log_z, lead, low)
+        if taken is None:
+            return None
+    delta, level = solution[:j], solution[j]
     falls = delta < 0.0
     share = min(1.0, NEWTON_BOUNDARY * float((mass[falls] / -delta[falls]).min())
                 if falls.any() else 1.0)
     step = gain - level
-    # the active letters no longer in the system are the spared ones
-    spared = active
-    spared[letters] = False
-    step[spared] = gamma * (gain[spared] - log_z)
     step[letters] = np.log1p(share * delta / mass)
+    if taken is not None:
+        fixed, spared = taken
+        moved = fixed < 0.0
+        step[letters[moved]] = np.log1p(fixed[moved] / mass[moved])
+        step[letters[spared]] = gamma * (gain[letters[spared]] - log_z)
     return _update(log_p, step)
+
+
+def _take_out(kkt, rhs, solution, mass, gain, log_z, lead, out=None):
+    """Solve the KKT system again without the letters that block its step.
+
+    A letter blocks when the step takes ``NEWTON_SPARE`` of its mass or more
+    and its gain is undecided, or when the step crosses the boundary and its
+    gain lies below the window. Starting from the letters ``out``, or else
+    from the blocking letter with the most negative relative move, each
+    pass takes letters out, fixes their moves and solves the rest again
+    with those moves on the right-hand side (module docstring). Updates
+    ``solution`` in place, zero at the letters taken out, and returns their
+    moves and the spared letters, or None when a reduced system is singular.
+    """
+    j = mass.size
+    undecided = gain >= log_z - max(NEWTON_WINDOW, lead)
+    # the share of its mass a letter taken out loses: 0 for a spared one
+    cut = np.where(undecided, np.where(gain < log_z - lead, NEWTON_SPARE, 0.0), NEWTON_BOUNDARY)
+    bound = np.where(undecided, -NEWTON_SPARE, -1.0) * mass
+    # the rows still solved for, the level's last
+    kept = np.ones(j + 1, dtype=bool)
+    fixed = np.zeros(j)
+    while True:
+        if out is None:
+            delta = solution[:j]
+            blocking = np.flatnonzero(kept[:j] & (delta <= bound))
+            if blocking.size == 0:
+                break
+            out = blocking[np.argmin(delta[blocking] / mass[blocking])]
+        kept[out] = False
+        fixed[out] = -cut[out] * mass[out]
+        try:
+            solution[kept] = np.linalg.solve(kkt[np.ix_(kept, kept)],
+                                             rhs[kept] - kkt[kept, :j] @ fixed)
+        except np.linalg.LinAlgError:
+            return None
+        out = None
+    solution[:j][~kept[:j]] = 0.0
+    return fixed, ~kept[:j] & (cut == 0.0)
 
 
 def _tilt(log_p, div, gamma, powers, budget, nu):

@@ -106,6 +106,14 @@ class TestCapacityCommand:
         assert report["result"]["iterations"] >= 1
         assert report["input"]["sha256"]
 
+    def test_report_digest_is_the_sha256_of_the_channel_file(self, capsys, orth_file):
+        import hashlib
+
+        code, out, _ = run_cli(capsys, ["capacity", "--channel", orth_file])
+        assert code == 0
+        digest = hashlib.sha256(Path(orth_file).read_bytes()).hexdigest()
+        assert json.loads(out)["input"]["sha256"] == digest
+
     def test_report_states_the_spectra_it_took(self, capsys, tmp_path):
         path = tmp_path / "mixed.json"
         save_channel(random_channel(2, 3, 7, "mixed"), path)

@@ -111,6 +111,15 @@ def test_importing_the_package_and_cli_leaves_the_reference_math_unloaded():
     assert out.strip() == "False"
 
 
+def test_importing_the_package_and_cli_leaves_hashlib_unloaded():
+    # the CLI digests a channel file only when it loads one
+    code = "import sys, cqcap, cqcap.cli; print('hashlib' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SOURCE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_solver_has_one_divergence_and_one_holevo_path():
     # divergences come only from the step kernel on the support stack, and
     # the final value only from holevo_quantity
