@@ -48,7 +48,7 @@ state, valid at any distribution, so the certificate does not depend on
 which update led there. A run that stops at s returns T(s), whose penalized
 Holevo value is at least log Z(s), so it carries the lower bound.
 
-A fixed-penalty run also proposes a Newton step, from its 4th step on
+Every run also proposes a Newton step, from its 4th step on
 (``NEWTON_START``; the first three are first-order steps, whose rate
 criterion 07 reads). At the optimum every letter of the support has the same
 gain t and no letter a larger one, so the proposal solves the KKT system of
@@ -57,8 +57,14 @@ Z): H_AA dp + t 1 = gain_A, 1.dp = 0, with H = -dD/dp from
 ``cqcap.channel._curvature``, which reuses the eigenvectors of the step's own
 ``eigh``, so a proposal costs one spectrum, that of its own evaluation. It
 is skipped when the KKT matrix is singular, and when more letters are active
-than the support dimension d, except on a classical channel whose extra
-letters all trail the level (below).
+than the curvature's rank bound, except on a classical channel whose extra
+letters all trail the level (below). H_xy = sum_ij conj(R_x)_ij (R_y)_ij
+K_ij with R_x the state in the mixture's eigenbasis and K > 0 except where
+both eigenvalues are raised, so H v = 0 exactly when sum_x v_x R_x vanishes
+there: H has rank at most d^2, and where no eigenvalue is raised the trace
+of sum_x v_x R_x = 0 gives 1.v = 0, so the KKT matrix over more than d^2
+letters is singular. ``np.linalg.solve`` refuses a matrix it finds
+singular below that bound.
 
 The step is a primal active-set step (Nocedal and Wright, Numerical
 Optimization, ch. 16). A letter blocks it when dp takes ``NEWTON_SPARE`` of
@@ -89,9 +95,23 @@ The proposal is kept only when its step value is strictly above log Z(s)
 Whatever letters leave the system, the proposal is one more distribution
 that both bounds hold at, and every letter still counts in the upper
 bound's max, so neither the certificate, nor the ascent of the recorded step
-values (criterion 05), nor the returned T(s) changes. A tilted run takes no
-polish: its tilt moves with p, so the KKT system would have to be solved
-jointly with the budget.
+values (criterion 05), nor the returned T(s) changes.
+
+Where a run's tilt binds (0 < nu < inf, below), the optimum's KKT system
+has the budget's row too: gain_A = D_A - nu c_A = t with c.p = S, the tilt
+solved with p. The proposal solves the bordered system (Nocedal and Wright,
+ch. 16) [H 1 c; 1^T 0 0; c^T 0 0] [dp; t; nu'] = [gain_A; 0; S - c.p] in
+the shifted costs, nu' being the tilt's change, and the letters outside A
+take gain - t - nu' c. ``_take_out``'s sub-blocks carry the row, with the
+fixed moves on its right-hand side too. The row reaches the proposal
+through the state's evaluation, which finds the tilt; nu = 0 and the
+infinite tilt solve the plain system on their own gain. The proposal is
+evaluated, and so tilted again, like any other, and kept only when its
+step value log Z_nu + nu c.T_nu beats the current one. Its window and
+activity tests compare the gains with that step value, which lies
+nu c.T_nu above their own level log Z_nu: measured against the level
+itself, a leaving letter whose gain the unsettled tilt lifted into the
+window was spared and took more steps.
 
 A run chooses its step rule before its loop: a fixed penalty vector, or a
 tilt solved onto the budget at each step. A budget S on the expected cost
@@ -340,34 +360,47 @@ def upper_bound(ch: CqChannel, multiplier: float, state: IterationState) -> floa
     return (float(gain.max()) + state.excess_nats) / LN2
 
 
-def _newton_proposal(ch, p, log_p, gain, log_z, spectrum, gamma):
+def _newton_proposal(ch, p, log_p, gain, log_z, spectrum, gamma, tilt=None):
     """A Newton step on the KKT system gain_A = t of the active letters, or None.
 
-    Solves H_AA dp + t 1 = gain_A, 1.dp = 0 with ``_curvature``'s H. The
-    letters that block the step leave the system through ``_take_out``,
-    which solves it again for the rest. The dp still solved for is damped
-    to the boundary, and the letters outside A take gain - t (module
-    docstring).
+    Solves H_AA dp + t 1 = gain_A, 1.dp = 0 with ``_curvature``'s H. Where
+    the tilt binds, ``tilt`` holds the shifted costs c and the headroom
+    S - c.p, and the system gains the budget's row and column:
+    H_AA dp + t 1 + nu' c_A = gain_A, c_A.dp = S - c.p, nu' the tilt's
+    change. The letters that block the step leave the system through
+    ``_take_out``, which solves it again for the rest. The dp still solved
+    for is damped to the boundary, and the letters outside A take
+    gain - t - nu' c (module docstring).
     """
     evals, evecs = spectrum
     active = (p > NEWTON_ACTIVE_MASS) | (gain > log_z)
     letters = np.flatnonzero(active)
     j = letters.size
     lead = float(gain.max()) - log_z
-    over, low = j - evals.size, None
-    if over > 0:
-        # a classical KKT matrix over more than d letters is singular; its
-        # lowest letters leave the system first, if they all trail the level
-        low = np.argsort(gain[letters])[:over]
-        if evecs is not None or not (gain[letters[low]] < log_z - lead).all():
+    # the KKT matrix over more letters than the curvature's rank bound, d on
+    # a classical channel and d^2 on a quantum one, is singular
+    low = None
+    if evecs is not None:
+        if j > evals.size ** 2:
+            return None
+    elif j > evals.size:
+        # a classical one's lowest letters leave the system first, if they
+        # all trail the level
+        low = np.argsort(gain[letters])[:j - evals.size]
+        if not (gain[letters[low]] < log_z - lead).all():
             return None
     kkt = np.ones((j + 1, j + 1))
     kkt[:j, :j] = _curvature(ch, active, evals, evecs)
     kkt[j, j] = 0.0
     rhs = np.append(gain[letters], 0.0)
+    if tilt is not None:
+        # the budget's row and column border the system
+        border = np.append(tilt[0][letters], 0.0)
+        kkt = np.vstack((np.column_stack((kkt, border)), np.append(border, 0.0)))
+        rhs = np.append(rhs, tilt[1])
     mass = p[letters]
     if low is not None:
-        solution = np.zeros(j + 1)
+        solution = np.zeros(rhs.size)
     else:
         try:
             solution = np.linalg.solve(kkt, rhs)
@@ -384,6 +417,8 @@ def _newton_proposal(ch, p, log_p, gain, log_z, spectrum, gamma):
     share = min(1.0, NEWTON_BOUNDARY * float((mass[falls] / -delta[falls]).min())
                 if falls.any() else 1.0)
     step = gain - level
+    if tilt is not None:
+        step -= solution[-1] * tilt[0]
     step[letters] = np.log1p(share * delta / mass)
     if taken is not None:
         fixed, spared = taken
@@ -401,17 +436,18 @@ def _take_out(kkt, rhs, solution, mass, gain, log_z, lead, out=None):
     gain lies below the window. Starting from the letters ``out``, or else
     from the blocking letter with the most negative relative move, each
     pass takes letters out, fixes their moves and solves the rest again
-    with those moves on the right-hand side (module docstring). Updates
-    ``solution`` in place, zero at the letters taken out, and returns their
-    moves and the spared letters, or None when a reduced system is singular.
+    with those moves on the right-hand side (module docstring); the
+    constraint rows after the letters' stay. Updates ``solution`` in place,
+    zero at the letters taken out, and returns their moves and the spared
+    letters, or None when a reduced system is singular.
     """
     j = mass.size
     undecided = gain >= log_z - max(NEWTON_WINDOW, lead)
     # the share of its mass a letter taken out loses: 0 for a spared one
     cut = np.where(undecided, np.where(gain < log_z - lead, NEWTON_SPARE, 0.0), NEWTON_BOUNDARY)
     bound = np.where(undecided, -NEWTON_SPARE, -1.0) * mass
-    # the rows still solved for, the level's last
-    kept = np.ones(j + 1, dtype=bool)
+    # the rows still solved for, the constraints' last
+    kept = np.ones(rhs.size, dtype=bool)
     fixed = np.zeros(j)
     while True:
         if out is None:
@@ -483,19 +519,20 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
 
     Returns ``(CapacityResult, IterationTrace)``, the trace being the
     result's own ``trace``. The step rule is chosen before the loop (module
-    docstring). Each step takes the Newton proposal of a fixed-penalty run,
-    else the extrapolated update, when it keeps the ascent, and the plain
-    update otherwise; the trace records the steps
-    taken, and the returned distribution is the plain update of the last
-    recorded state.
+    docstring). Each step takes the Newton proposal, else the extrapolated
+    update, when it keeps the ascent, and the plain update otherwise; the
+    trace records the steps taken, and the returned distribution is the
+    plain update of the last recorded state.
     Every step value is a lower bound and every step's upper bound is one
     too, so the loop's gap is the smallest upper bound seen minus the
     largest step value seen. Termination: that gap <= epsilon, a stall
     (neither bound improved by ``STALL_TOL_BITS`` for ``STALL_WINDOW``
     consecutive steps, reported rather than silently accepted), or the
-    iteration cap. A custom ``initial`` distribution must be strictly
-    positive: a zero-mass letter can never regain mass, which would silently
-    solve a sub-channel.
+    iteration cap. A loop gap that closes while the reported interval is
+    wider than epsilon, which rounding alone can do, is a stall too, so
+    ``gap_reached`` implies ``certified``. A custom ``initial`` distribution
+    must be strictly positive: a zero-mass letter can never regain mass,
+    which would silently solve a sub-channel.
     A budget below the cheapest letter cost raises ``InfeasibleCost``.
     """
     if initial is None:
@@ -534,28 +571,30 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
 
     def evaluate(w, nu):
         # what the loop reads of a state: log w, div, the plain update's gain,
-        # the step value (nats), the dual-line upper bound (bits) and the tilt
+        # the step value (nats), the dual-line upper bound (bits), the tilt,
+        # the spectrum and, where the tilt binds, the Newton system's budget row
         log_w = log_of(w)
         evals, div, excess, evecs = _spectral_terms(ch, w)
+        tilt_row = None
         if solve_tilt:
             nu, log_z, cost = _tilt(log_w, div, 1.0, powers, budget, nu)
             gain = div - nu * powers[1]
             value, line = log_z + nu * cost, nu * budget / LN2
+            if nu > 0.0:
+                tilt_row = (powers[1], budget - float(powers[1] @ w))
         else:
             gain = div - penalty_nats
             value, line = _log_partition(log_w + gain), widen
         bound = (float(gain.max()) + excess) / LN2 + line
-        return log_w, div, gain, value, bound, nu, (evals, evecs)
+        return log_w, div, gain, value, bound, nu, (evals, evecs), tilt_row
 
-    # a tilt moves with p, so only a fixed penalty takes the Newton polish
-    polish_from = math.inf if budgeted else NEWTON_START
     gamma = 1.0
     trace = IterationTrace()
     iterations = rejected = newton = stall_count = 0
     lower, upper, best_nu = -math.inf, math.inf, nu
     tilted = False
     p = start
-    log_p, div, gain, log_z, bound_bits, nu, spectrum = evaluate(p, nu)
+    log_p, div, gain, log_z, bound_bits, nu, spectrum, tilt_row = evaluate(p, nu)
     while True:
         value_bits = log_z / LN2
         trace.objective_bits.append(value_bits)
@@ -580,8 +619,8 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         if reason is not None:
             break
         terms = None
-        if iterations >= polish_from:
-            new_p = _newton_proposal(ch, p, log_p, gain, log_z, spectrum, gamma)
+        if iterations >= NEWTON_START:
+            new_p = _newton_proposal(ch, p, log_p, gain, log_z, spectrum, gamma, tilt_row)
             if new_p is not None:
                 terms = evaluate(new_p, nu)
                 # a tie is no ascent, and the extrapolated step may do better
@@ -607,7 +646,7 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
                 new_p = _update(log_p, gain)
                 terms = evaluate(new_p, nu)
         p = new_p
-        log_p, div, gain, log_z, bound_bits, nu, spectrum = terms
+        log_p, div, gain, log_z, bound_bits, nu, spectrum, tilt_row = terms
 
     # the plain update of the last recorded state
     p = _update(log_p, gain)
@@ -615,6 +654,10 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
     # the shifted cost the tilt meets, so a feasible distribution reports one
     expected_cost = cheapest + float(powers[1] @ p) if budgeted else float(ch.costs @ p)
     capacity_bits = holevo_quantity(ch, probs) - config.multiplier * expected_cost
+    certified = upper - capacity_bits <= config.epsilon
+    if not certified and reason is TerminationReason.GAP_REACHED:
+        # the loop's gap closed by rounding alone; the reported interval did not
+        reason = TerminationReason.STALLED
     result = CapacityResult(
         capacity_bits=capacity_bits,
         probs=probs,
@@ -628,7 +671,7 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
         iterations=iterations,
         rejected_steps=rejected,
         newton_steps=newton,
-        certified=upper - capacity_bits <= config.epsilon,
+        certified=certified,
     )
     # the pair form stays while the benchmark's inner-solve counter unpacks it
     return result, trace

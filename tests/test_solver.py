@@ -28,6 +28,7 @@ from cqcap.hermitian import EIGENVALUE_REL, LN2
 from cqcap.channel import _curvature, _spectral_terms
 from cqcap.solver import NEWTON_START, TILT_TOL_REL, _tilt, _update
 from cqcap.solver import NEWTON_BOUNDARY, NEWTON_WINDOW, _log_partition, _newton_proposal
+from cqcap.solver import NEWTON_ACTIVE_MASS
 from cqcap.oracle import DEFAULT_GRID_RESOLUTION, GridSpec, grid_capacity
 from cqcap.reference import output_state, relative_entropy_nats, trace_product
 from helpers import (
@@ -190,6 +191,22 @@ class TestSolveFixedLambda:
         res, _ = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-16, max_iter=100000))
         assert res.termination is TerminationReason.STALLED
 
+    def test_gap_reached_implies_certified(self):
+        # below float resolution the loop's bounds can cross by rounding
+        # while the reported interval stays wider than epsilon: such a run
+        # reports a stall, not a closed gap
+        crossed = 0
+        for seed, eps, budget in itertools.product(range(12), (1e-15, 1e-16), (math.inf, 0.8)):
+            ch = CqChannel(random_channel(2 + seed % 3, 2, seed, "mixed").states,
+                           [0.3, 1.0, 0.4, 2.0][:2 + seed % 3])
+            res, trace = solve_fixed_lambda(
+                ch, SolverConfig(epsilon=eps, max_iter=2000, cost_limit=budget))
+            if res.termination is TerminationReason.GAP_REACHED:
+                assert res.certified
+            loop_gap = min(trace.upper_bits) - max(trace.objective_bits)
+            crossed += loop_gap <= eps and not res.certified
+        assert crossed > 0
+
     def test_still_falling_upper_bound_is_no_stall(self):
         # the 54th channel drawn as the diag-sweep benchmark draws them at seed
         # 2024: its step value settles while its upper bound still falls, and
@@ -292,7 +309,9 @@ class TestSolveFixedLambda:
         assert res.iterations <= 20_000
 
     def test_rejected_steps_count_the_extra_eigh_calls(self, monkeypatch):
-        ch = random_channel(4, 3, 5, "mixed")
+        # budgeted, so that the count covers tilted Newton proposals; this
+        # channel still rejects one of them
+        ch = CqChannel(random_channel(4, 3, 17, "mixed").states, [0.3, 1.0, 0.4, 2.0])
         shapes, values_only, einsums = [], [], []
         eigh, eigvalsh, einsum = np.linalg.eigh, np.linalg.eigvalsh, np.einsum
 
@@ -311,9 +330,10 @@ class TestSolveFixedLambda:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         monkeypatch.setattr(np, "einsum", counting_einsum)
-        res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8))
+        res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8, cost_limit=0.5))
         monkeypatch.undo()
         assert res.termination is TerminationReason.GAP_REACHED
+        assert res.constraint_active and res.newton_steps > 0
         assert res.rejected_steps > 0
         assert len(trace) == res.iterations
         assert len(shapes) == res.iterations + res.rejected_steps
@@ -943,7 +963,7 @@ class TestCurvature:
 
 
 class TestNewtonPolish:
-    """The second-order proposal of fixed-penalty runs, and the witnesses it mends."""
+    """The second-order proposal, and the witnesses it mends."""
 
     @pytest.mark.parametrize("seed, case", [(10, 75), (7, 143), (2, 50)])
     def test_fock_coherent_witnesses_certify(self, seed, case):
@@ -966,7 +986,8 @@ class TestNewtonPolish:
         assert res.capacity_bits == pytest.approx(reference, abs=3e-8)
 
     def test_every_newton_proposal_costs_one_spectrum(self, monkeypatch):
-        ch = fock_coherent_channel(2024, 7)
+        # five pure letters in four dimensions: one Newton proposal loses ascent
+        ch = random_channel(5, 4, 13, "pure")
         calls = []
         eigh = np.linalg.eigh
 
@@ -975,7 +996,7 @@ class TestNewtonPolish:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-6))
+        res, trace = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8))
         monkeypatch.undo()
         assert res.newton_steps > 0 and res.rejected_steps > 0
         # the curvature reuses each step's eigenvectors
@@ -1002,18 +1023,71 @@ class TestNewtonPolish:
         assert all(b > a for a, b in zip(values[NEWTON_START - 1:], values[NEWTON_START:]))
         assert res.capacity_bits >= max(values) - 1e-12
 
-    def test_budgeted_runs_take_no_newton_step(self):
-        ch = random_channel(3, 2, 5, "mixed")
-        ch = CqChannel(ch.states, [0.0, 1.0, 2.0])
-        res, _ = solve_fixed_lambda(ch, SolverConfig(cost_limit=0.5, epsilon=1e-8))
-        assert res.constraint_active
-        assert res.newton_steps == 0
+    @pytest.mark.parametrize("budget, binding", [(0.5, True), (1.5, False)])
+    def test_budgeted_runs_take_newton_steps(self, budget, binding):
+        # the unconstrained optimum costs 0.99: a budget of 0.5 binds the
+        # tilt, and one of 1.5 leaves it at zero
+        ch = CqChannel(random_channel(3, 2, 5, "mixed").states, [0.0, 1.0, 2.0])
+        res, _ = solve_fixed_lambda(ch, SolverConfig(cost_limit=budget, epsilon=1e-8))
+        assert res.termination is TerminationReason.GAP_REACHED and res.certified
+        assert res.newton_steps > 0
+        assert res.expected_cost <= budget
+        assert res.constraint_active == binding
+        assert (0.0 < res.multiplier < math.inf) == binding
+        grid = grid_capacity(ch, GridSpec(DEFAULT_GRID_RESOLUTION[3]), cost_limit=budget)
+        assert (res.capacity_bits - grid.slack_bits <= grid.value_bits
+                <= res.gap_certificate_bits[1] + grid.slack_bits)
 
-    def test_more_active_letters_than_the_support_dimension_skip_newton(self):
-        # four letters on a qubit: the curvature is singular, so no proposal is made
-        res, _ = solve_fixed_lambda(random_channel(4, 2, 5, "mixed"), SolverConfig(epsilon=1e-8))
-        assert res.termination is TerminationReason.GAP_REACHED
-        assert res.newton_steps == 0
+    def test_a_binding_tilt_borders_the_kkt_system_with_the_budget(self):
+        # every letter is active and none blocks, so the proposal is the
+        # whole Newton step of the bordered system, solved here by hand on
+        # the divergences with the tilt nu' itself as the last unknown
+        rows = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+        ch = CqChannel([np.diag(row).astype(complex) for row in rows], [0.0, 1.0, 0.5])
+        p, budget = np.array([0.4, 0.3, 0.3]), 0.4
+        costs = ch.costs - ch.costs.min()
+        powers = np.stack((np.ones(3), costs, costs ** 2))
+        log_p = np.log(p)
+        evals, div, _, evecs = _spectral_terms(ch, p)
+        nu, log_z, cost = _tilt(log_p, div, 1.0, powers, budget, 0.0)
+        assert nu > 0.0 and float(costs @ p) > budget
+        value = log_z + nu * cost
+        kkt = np.zeros((5, 5))
+        kkt[:3, :3] = _curvature(ch, np.ones(3, dtype=bool), evals, evecs)
+        kkt[3, :3] = kkt[:3, 3] = 1.0
+        kkt[4, :3] = kkt[:3, 4] = costs
+        solution = np.linalg.solve(kkt, np.concatenate((div, [0.0, budget - costs @ p])))
+        delta, new_nu = solution[:3], solution[4]
+        assert (delta > -0.5 * p).all()
+        proposal = _newton_proposal(ch, p, log_p, div - nu * costs, value, (evals, evecs), 1.0,
+                                    (costs, budget - float(costs @ p)))
+        assert proposal == pytest.approx(p + delta, rel=1e-12)
+        assert float(costs @ proposal) == pytest.approx(budget, rel=1e-12)
+        # tilted again, the proposal's tilt is near nu' and its step value higher
+        next_nu, next_log_z, next_cost = _tilt(np.log(proposal), _spectral_terms(ch, proposal)[1],
+                                               1.0, powers, budget, nu)
+        assert abs(next_nu - new_nu) < 0.1 * abs(nu - new_nu)
+        assert next_log_z + next_nu * next_cost > value
+
+    def test_more_active_letters_than_the_curvatures_rank_skip_newton(self, monkeypatch):
+        # a qubit's curvature has rank at most d^2 = 4: four mixed letters
+        # take Newton steps, and five are proposed none while all are active
+        four, _ = solve_fixed_lambda(random_channel(4, 2, 5, "mixed"), SolverConfig(epsilon=1e-8))
+        assert four.certified and four.newton_steps > 0
+        proposals = []
+        propose = cqcap.solver._newton_proposal
+
+        def recording(ch, p, log_p, gain, log_z, *args):
+            proposal = propose(ch, p, log_p, gain, log_z, *args)
+            active = int(np.count_nonzero((p > NEWTON_ACTIVE_MASS) | (gain > log_z)))
+            proposals.append((active, proposal is None))
+            return proposal
+
+        monkeypatch.setattr(cqcap.solver, "_newton_proposal", recording)
+        five, _ = solve_fixed_lambda(random_channel(5, 2, 5, "mixed"), SolverConfig(epsilon=1e-8))
+        assert five.certified
+        assert proposals[0] == (5, True)
+        assert all(skipped for active, skipped in proposals if active > 4)
 
     def test_a_letter_that_crosses_the_boundary_leaves_the_system(self):
         # the third letter's gain lies far below log Z, and the Newton move of
