@@ -119,13 +119,14 @@ c.p (``SolverConfig.cost_limit``) is met inside the step, as in Blahut's and
 Arimoto's constrained iterations: the p-step maximizes f(q, p) over the q
 with c.q <= S, so it is the tilted update T_nu(p) ~ p exp(D - nu c), with
 nu = 0 when T_0 fits and otherwise c.T_nu = S, found by ``_tilt`` from the
-feasible side; the extrapolated step is tilted too. The step's lower bound is
-f(T_nu, p) = log Z_nu + nu c.T_nu: f(q, p) is at most the Holevo value of q
-at any p, and T_nu meets the budget whatever nu is, so the tilt's tolerance
-(``TILT_TOL_REL`` of the budget) sets only how tight it is. The upper bound
-is the step's dual line U(nu) + nu S, U(mu) = max_x (D_x - mu c_x) + excess:
-U(mu) bounds chi(q) - mu c.q at every q, and mu (S - c.q) >= 0 for a
-feasible q. Costs enter shifted so the cheapest is zero, which changes no
+feasible side, once per spectrum: the extrapolated step takes the current
+tilt's gain, and its own evaluation solves the tilt again. The step's lower
+bound is f(T_nu, p) = log Z_nu + nu c.T_nu: f(q, p) is at most the Holevo
+value of q at any p, and T_nu meets the budget whatever nu is, so the tilt's
+tolerance (``TILT_TOL_REL`` of the budget) sets only how tight it is. The
+upper bound is the step's dual line U(nu) + nu S, U(mu) = max_x (D_x - mu
+c_x) + excess: U(mu) bounds chi(q) - mu c.q at every q, and mu (S - c.q) >= 0
+for a feasible q. Costs enter shifted so the cheapest is zero, which changes no
 update and no bound. A fixed multiplier mu, or a budget at or above the
 costliest cost (mu = 0), is the fixed penalty mu c. A budget within
 ``MIN_HEADROOM`` of the cost range above the cheapest, too little for the
@@ -468,19 +469,18 @@ def _take_out(kkt, rhs, solution, mass, gain, log_z, lead, out=None):
     return fixed, ~kept[:j] & (cut == 0.0)
 
 
-def _tilt(log_p, div, gamma, powers, budget, nu):
-    """The tilt nu that puts the update p ~ p exp(gamma (div - nu c)) on the budget.
+def _tilt(log_p, div, powers, budget, nu):
+    """The tilt nu that puts the update p ~ p exp(div - nu c) on the budget.
 
     Returns nu, the update's log Z and its expected cost, from the stack
     ``powers`` of 1, c and c^2. Newton steps on the log of the cost, which
-    falls with nu at gamma times its variance, start from the warm ``nu`` and
-    stay inside the bracket of the tilts seen, or bisect it; after
-    ``TILT_MAX_EVALS`` evaluations the bracket's feasible end is taken.
+    falls with nu at its variance, start from the warm ``nu`` and stay inside
+    the bracket of the tilts seen, or bisect it; after ``TILT_MAX_EVALS``
+    evaluations the bracket's feasible end is taken.
     """
-    base = log_p + gamma * div
+    base = log_p + div
     top = float(base.max())
     base -= top
-    scaled = gamma * powers[1]
     # lo, the largest tilt seen over the budget, is -inf until one is seen;
     # until then a step from a feasible tilt that leaves the bracket tries 0
     lo, hi, step = -math.inf, math.inf, math.inf
@@ -488,7 +488,7 @@ def _tilt(log_p, div, gamma, powers, budget, nu):
     for evals in itertools.count():
         # nu c >= 0 keeps every weight at most 1; shift up when they are so
         # small that weights MIN_HEADROOM below the largest turn subnormal
-        z = base - nu * scaled
+        z = base - nu * powers[1]
         total, first, second = (powers @ np.exp(z)).tolist()
         shift = 0.0 if total > 1e-100 else float(z.max())
         if shift:
@@ -503,7 +503,7 @@ def _tilt(log_p, div, gamma, powers, budget, nu):
         if evals >= TILT_MAX_EVALS and hi < math.inf:
             break
         var = second / total - cost * cost
-        new = (nu + (math.log(cost) - log_target) * cost / (gamma * var)
+        new = (nu + (math.log(cost) - log_target) * cost / var
                if evals < TILT_MAX_EVALS and var > 0.0 and cost > 0.0 else math.inf)
         new = max(new, 0.0)
         # bisect when Newton leaves the bracket or fails to halve its last step
@@ -570,14 +570,14 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
                 return np.log(w, out=np.full(ch.size, -math.inf), where=w > 0.0)
 
     def evaluate(w, nu):
-        # what the loop reads of a state: log w, div, the plain update's gain,
+        # what the loop reads of a state: log w, the plain update's gain,
         # the step value (nats), the dual-line upper bound (bits), the tilt,
         # the spectrum and, where the tilt binds, the Newton system's budget row
         log_w = log_of(w)
         evals, div, excess, evecs = _spectral_terms(ch, w)
         tilt_row = None
         if solve_tilt:
-            nu, log_z, cost = _tilt(log_w, div, 1.0, powers, budget, nu)
+            nu, log_z, cost = _tilt(log_w, div, powers, budget, nu)
             gain = div - nu * powers[1]
             value, line = log_z + nu * cost, nu * budget / LN2
             if nu > 0.0:
@@ -586,7 +586,7 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
             gain = div - penalty_nats
             value, line = _log_partition(log_w + gain), widen
         bound = (float(gain.max()) + excess) / LN2 + line
-        return log_w, div, gain, value, bound, nu, (evals, evecs), tilt_row
+        return log_w, gain, value, bound, nu, (evals, evecs), tilt_row
 
     gamma = 1.0
     trace = IterationTrace()
@@ -594,7 +594,7 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
     lower, upper, best_nu = -math.inf, math.inf, nu
     tilted = False
     p = start
-    log_p, div, gain, log_z, bound_bits, nu, spectrum, tilt_row = evaluate(p, nu)
+    log_p, gain, log_z, bound_bits, nu, spectrum, tilt_row = evaluate(p, nu)
     while True:
         value_bits = log_z / LN2
         trace.objective_bits.append(value_bits)
@@ -624,21 +624,17 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
             if new_p is not None:
                 terms = evaluate(new_p, nu)
                 # a tie is no ascent, and the extrapolated step may do better
-                if terms[3] > log_z:
+                if terms[2] > log_z:
                     newton += 1
                     gamma = min(GAMMA_MAX, GAMMA_GROWTH * gamma)
                 else:
                     rejected += 1
                     terms = None
         if terms is None:
-            step = gain
-            # a solved tilt is solved again for the extrapolated proposal
-            if solve_tilt and gamma != 1.0:
-                step = div - _tilt(log_p, div, gamma, powers, budget, nu)[0] * powers[1]
-            new_p = _update(log_p, step, gamma)
+            new_p = _update(log_p, gain, gamma)
             terms = evaluate(new_p, nu)
             # at gamma = 1 the proposal is the plain update, which needs no test
-            if terms[3] >= log_z or gamma == 1.0:
+            if terms[2] >= log_z or gamma == 1.0:
                 gamma = min(GAMMA_MAX, GAMMA_GROWTH * gamma)
             else:
                 rejected += 1
@@ -646,7 +642,7 @@ def solve_fixed_lambda(ch: CqChannel, config: SolverConfig, initial=None):
                 new_p = _update(log_p, gain)
                 terms = evaluate(new_p, nu)
         p = new_p
-        log_p, div, gain, log_z, bound_bits, nu, spectrum, tilt_row = terms
+        log_p, gain, log_z, bound_bits, nu, spectrum, tilt_row = terms
 
     # the plain update of the last recorded state
     p = _update(log_p, gain)

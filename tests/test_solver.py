@@ -726,21 +726,20 @@ class TestBudgetedLoop:
         costs = rng.random(n)
         costs[rng.integers(n)] = 0.0
         powers = np.stack((np.ones(n), costs, costs ** 2))
-        gamma = float(rng.choice([1.0, 7.3, 64.0]))
-        free = float(costs @ _update(log_p, div, gamma))
+        free = float(costs @ _update(log_p, div))
         for budget in (free * 10.0 ** -rng.uniform(0.1, 9.0), 2.0 * free):
             for warm in (0.0, 1e-3, 1.0, 1e3):
-                nu, log_z, cost = _tilt(log_p, div, gamma, powers, budget, warm)
+                nu, log_z, cost = _tilt(log_p, div, powers, budget, warm)
                 # a numpy scalar would leak into the bounds and the JSON report
                 assert type(nu) is float
-                w = _update(log_p, div - nu * costs, gamma)
+                w = _update(log_p, div - nu * costs)
                 assert w.min() > 0.0
                 assert float(costs @ w) <= budget * (1.0 + 1e-14)
                 if nu == 0.0:
                     assert free <= budget * (1.0 + 1e-14)
                 else:
                     assert budget * (1.0 - TILT_TOL_REL) <= cost <= budget
-                top = log_p + gamma * (div - nu * costs)
+                top = log_p + div - nu * costs
                 assert log_z == pytest.approx(math.log(np.exp(top).sum()), abs=1e-12)
 
     def test_tilt_far_below_the_top_reevaluates_shifted(self):
@@ -751,7 +750,7 @@ class TestBudgetedLoop:
         costs = np.array([0.0, 1.0, 2.0])
         powers = np.stack((np.ones(3), costs, costs ** 2))
         budget = 0.5
-        nu, log_z, cost = _tilt(log_p, div, 1.0, powers, budget, 0.0)
+        nu, log_z, cost = _tilt(log_p, div, powers, budget, 0.0)
         assert type(nu) is float
         assert budget * (1.0 - TILT_TOL_REL) <= cost <= budget
         w = _update(log_p, div - nu * costs)
@@ -795,6 +794,22 @@ class TestBudgetedLoop:
         # the returned distribution's Holevo value carries the lower bound
         assert res.capacity_bits >= max(trace.objective_bits) - 1e-12
         assert len(trace) == res.iterations
+
+    def test_the_tilt_is_solved_once_per_evaluated_distribution(self, monkeypatch):
+        # the extrapolated step takes the current tilt's gain, so only a
+        # state's evaluation solves the tilt: once per spectrum of the loop
+        calls = []
+        tilt = cqcap.solver._tilt
+
+        def counting(*args):
+            calls.append(args)
+            return tilt(*args)
+
+        monkeypatch.setattr(cqcap.solver, "_tilt", counting)
+        ch = CqChannel(random_channel(4, 3, 5, "mixed").states, [0.3, 1.0, 0.4, 2.0])
+        res, _ = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8, cost_limit=0.5))
+        assert res.certified and 0.0 < res.multiplier < math.inf
+        assert len(calls) == res.iterations + res.rejected_steps
 
     def test_rejects_a_budget_it_cannot_resolve(self):
         with pytest.raises(ValueError, match="cost_limit"):
@@ -1049,7 +1064,7 @@ class TestNewtonPolish:
         powers = np.stack((np.ones(3), costs, costs ** 2))
         log_p = np.log(p)
         evals, div, _, evecs = _spectral_terms(ch, p)
-        nu, log_z, cost = _tilt(log_p, div, 1.0, powers, budget, 0.0)
+        nu, log_z, cost = _tilt(log_p, div, powers, budget, 0.0)
         assert nu > 0.0 and float(costs @ p) > budget
         value = log_z + nu * cost
         kkt = np.zeros((5, 5))
@@ -1065,7 +1080,7 @@ class TestNewtonPolish:
         assert float(costs @ proposal) == pytest.approx(budget, rel=1e-12)
         # tilted again, the proposal's tilt is near nu' and its step value higher
         next_nu, next_log_z, next_cost = _tilt(np.log(proposal), _spectral_terms(ch, proposal)[1],
-                                               1.0, powers, budget, nu)
+                                               powers, budget, nu)
         assert abs(next_nu - new_nu) < 0.1 * abs(nu - new_nu)
         assert next_log_z + next_nu * next_cost > value
 

@@ -129,9 +129,10 @@ def test_solver_has_one_divergence_and_one_holevo_path():
 
 def test_solve_loop_knows_no_run_mode():
     # the step rule (a fixed penalty or a solved tilt) is chosen before the
-    # loop and applied in its evaluation, so the loop neither widens a bound
-    # nor tests for the infinite tilt
-    assert sorted(_names(_solve_loop()) & {"widen", "inf"}) == []
+    # loop, and the loop reads it only through ``evaluate``: it neither widens
+    # a bound, tests for the infinite tilt, nor solves a tilt itself
+    forbidden = {"widen", "inf", "solve_tilt", "_tilt", "powers", "budget"}
+    assert sorted(_names(_solve_loop()) & forbidden) == []
 
 
 def test_solve_loop_reduces_nothing_for_the_trace():
