@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -423,6 +425,24 @@ def load_channel(path) -> CqChannel:
 
 
 def save_channel(ch: CqChannel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_jsonable(ch), fh)
-        fh.write("\n")
+    write_in_place(path, json.dumps(channel_to_jsonable(ch)) + "\n")
+
+
+def write_in_place(path, text: str) -> None:
+    """Write ``text`` over the file at ``path`` from its start, then cut off any old tail.
+
+    The file is never truncated to zero: ext4 starts writeback when a file
+    truncated to zero and rewritten is closed, and the next rewrite of the path
+    waits for it. Only a regular file is cut; ``/dev/null`` refuses a truncate.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)

@@ -10,7 +10,6 @@ parameter, after the channel load and before any solve), 3 solver errors,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -26,6 +25,7 @@ from .channel import (
     independence_check,
     random_channel,
     save_channel,
+    write_in_place,
 )
 from .errors import BadParams, CqcapError
 from .oracle import DEFAULT_GRID_RESOLUTION, MAX_GRID_ALPHABET, GridSpec, grid_capacity
@@ -85,22 +85,24 @@ def _load(path: str) -> tuple[CqChannel, str]:
     return channel, digest
 
 
-def _write_trace_csv(fh, result: CapacityResult, costs: np.ndarray) -> None:
+def _write_trace_csv(path: str, result: CapacityResult, costs: np.ndarray) -> None:
     """The solve's trace as CSV; each step's cost and l1 move are derived from its iterate.
 
     Each step value is a lower bound, so the ``lower_bits`` column repeats ``f_bits``.
+    Lines end in ``\\r\\n``, as RFC 4180 has them.
     """
     trace = result.trace
     # the last step moves to the returned distribution
     moves = np.abs(np.diff(np.vstack(trace.iterates + [result.probs.probs]), axis=0)).sum(axis=1)
-    writer = csv.writer(fh)
-    writer.writerow(["t", "f_bits", "lower_bits", "upper_bits", "expected_cost", "l1_step"])
+    lines = ["t,f_bits,lower_bits,upper_bits,expected_cost,l1_step\r\n"]
     rows = zip(trace.objective_bits, trace.upper_bits, trace.iterates, moves.tolist())
     for step, (objective, upper, iterate, l1) in enumerate(rows):
         # one dot product per row: a stacked one can differ in the last bit
         cost = float(costs @ iterate)
         value = _format_float(objective)
-        writer.writerow([step, value, value] + [_format_float(v) for v in (upper, cost, l1)])
+        lines.append(f"{step},{value},{value},{_format_float(upper)},"
+                     f"{_format_float(cost)},{_format_float(l1)}\r\n")
+    write_in_place(path, "".join(lines))
 
 
 def _result_payload(result: CapacityResult) -> dict:
@@ -124,7 +126,7 @@ def cmd_capacity(args) -> int:
         channel, digest = _load(args.channel)
         if args.trace is not None:
             # a path it cannot write fails before the solve, and one it can is
-            # left as it is until the solve's trace replaces it
+            # left as it is until the solve's trace is written over it
             open(args.trace, "a").close()
     except PARSE_ERRORS as exc:
         _emit_error(exc)
@@ -144,8 +146,7 @@ def cmd_capacity(args) -> int:
         return EXIT_SOLVER
     if args.trace is not None:
         try:
-            with open(args.trace, "w", newline="", encoding="utf-8") as fh:
-                _write_trace_csv(fh, result, channel.costs)
+            _write_trace_csv(args.trace, result, channel.costs)
         except OSError as exc:
             _emit_error(exc)
             return EXIT_PARSE

@@ -430,3 +430,52 @@ class TestGridLimit:
         assert "solver_bits" not in out
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "BadParams"
+
+
+class TestFilesWrittenInPlace:
+    # the trace and channel files are written over from their start and cut
+    # to their new length, never truncated to zero first
+    GEN = ["gen", "--n", "3", "--m", "2", "--seed", "9", "--kind", "mixed", "--costs", "random"]
+    JUNK = bytes(range(256)) * 256  # 64 KiB
+
+    def capacity(self, capsys, channel_file, trace):
+        return run_cli(capsys, ["capacity", "--channel", channel_file, "--cost-limit", "0.3",
+                                "--trace", str(trace)])
+
+    def test_trace_to_dev_null_exit_0(self, capsys, budget_file):
+        # a non-regular file takes the text and is not cut
+        code, out, err = self.capacity(capsys, budget_file, os.devnull)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["trace_path"] == os.devnull
+
+    def test_gen_to_dev_null_exit_0(self, capsys):
+        assert run_cli(capsys, self.GEN + ["--out", os.devnull]) == (0, "", "")
+
+    def test_rewritten_trace_keeps_no_stale_tail(self, capsys, budget_file, tmp_path):
+        fresh, stale = tmp_path / "fresh.csv", tmp_path / "stale.csv"
+        stale.write_bytes(self.JUNK)
+        for trace in (fresh, stale):
+            assert self.capacity(capsys, budget_file, trace)[0] == 0
+        assert 0 < len(fresh.read_bytes()) < len(self.JUNK)
+        assert stale.read_bytes() == fresh.read_bytes()
+
+    def test_rewritten_channel_file_keeps_no_stale_tail(self, capsys, tmp_path):
+        fresh, stale = tmp_path / "fresh.json", tmp_path / "stale.json"
+        stale.write_bytes(self.JUNK)
+        for out in (fresh, stale):
+            assert run_cli(capsys, self.GEN + ["--out", str(out)]) == (0, "", "")
+        assert 0 < len(fresh.read_bytes()) < len(self.JUNK)
+        assert stale.read_bytes() == fresh.read_bytes()
+
+    def test_trace_format_byte_for_byte(self, capsys, budget_file, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code, out, _ = self.capacity(capsys, budget_file, trace)
+        assert code == 0
+        lines = trace.read_bytes().split(b"\r\n")
+        assert lines[0] == b"t,f_bits,lower_bits,upper_bits,expected_cost,l1_step"
+        # every line, the last included, ends in \r\n, and no bare \r or \n is left
+        assert lines[-1] == b""
+        assert not any(b"\r" in line or b"\n" in line for line in lines)
+        assert len(lines) == json.loads(out)["result"]["iterations"] + 2
+        assert [line.split(b",")[0] for line in lines[1:-1]] == [
+            str(t).encode() for t in range(len(lines) - 2)]

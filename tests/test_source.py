@@ -120,6 +120,35 @@ def test_importing_the_package_and_cli_leaves_hashlib_unloaded():
     assert out.strip() == "False"
 
 
+def test_importing_the_package_and_cli_leaves_csv_unloaded():
+    # the CLI formats its trace rows itself
+    code = "import sys, cqcap, cqcap.cli; print('csv' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SOURCE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_no_file_is_opened_for_writing_with_open():
+    # every file the package writes goes through channel.write_in_place, which
+    # writes over a file in place and never truncates it to zero
+    offenders = []
+    for path in sorted(SOURCE_DIR.rglob("*.py")):
+        for node in ast.walk(_module(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+            if name in ("write_text", "write_bytes"):
+                offenders.append(f"{path.name}:{node.lineno}: {name}")
+            elif name == "open":
+                modes = node.args + [kw.value for kw in node.keywords if kw.arg == "mode"]
+                if any(isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                       and "w" in mode.value and set(mode.value) <= set("rwxabt+")
+                       for mode in modes):
+                    offenders.append(f"{path.name}:{node.lineno}: open")
+    assert offenders == []
+
+
 def test_solver_has_one_divergence_and_one_holevo_path():
     # divergences come only from the step kernel on the support stack, and
     # the final value only from holevo_quantity
