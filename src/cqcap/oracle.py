@@ -29,13 +29,15 @@ DEFAULT_GRID_RESOLUTION = {1: 2, 2: 1000, 3: 200, 4: 60}
 class GridSpec:
     """Simplex grid with step 1/resolution; optionally penalize cost at a fixed multiplier.
 
-    A resolution below 2 raises ``BadParams``.
+    A resolution that is not an integer, or is below 2, raises ``BadParams``.
     """
 
     resolution: int
     penalty_multiplier: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.resolution, (int, np.integer)):
+            raise BadParams(f"grid resolution must be an integer, got {self.resolution!r}")
         if self.resolution < 2:
             raise BadParams(f"grid resolution must be at least 2, got {self.resolution!r}")
 

@@ -102,7 +102,7 @@ has the budget's row too: gain_A = D_A - nu c_A = t with c.p = S, the tilt
 solved with p. The proposal solves the bordered system (Nocedal and Wright,
 ch. 16) [H 1 c; 1^T 0 0; c^T 0 0] [dp; t; nu'] = [gain_A; 0; S - c.p] in
 the shifted costs, nu' being the tilt's change, and the letters outside A
-take gain - t - nu' c. ``_take_out``'s sub-blocks carry the row, with the
+take gain - t - nu' c. Each system solved again keeps the row, with the
 fixed moves on its right-hand side too. The row reaches the proposal
 through the state's evaluation, which finds the tilt; nu = 0 and the
 infinite tilt solve the plain system on their own gain. The proposal is
@@ -220,6 +220,9 @@ class SolverConfig:
             raise BadParams(f"a budgeted run takes no fixed multiplier, got {self.multiplier!r}")
         if not self.epsilon > 0:
             raise BadParams(f"epsilon must be positive, got {self.epsilon!r}")
+        # the cap counts steps: a nan one, say, would never be reached
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise BadParams(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise BadParams(f"max_iter must be at least 1, got {self.max_iter!r}")
 
@@ -368,51 +371,74 @@ def _newton_proposal(ch, p, log_p, gain, log_z, spectrum, gamma, tilt=None):
     the tilt binds, ``tilt`` holds the shifted costs c and the headroom
     S - c.p, and the system gains the budget's row and column:
     H_AA dp + t 1 + nu' c_A = gain_A, c_A.dp = S - c.p, nu' the tilt's
-    change. The letters that block the step leave the system through
-    ``_take_out``, which solves it again for the rest. The dp still solved
-    for is damped to the boundary, and the letters outside A take
-    gain - t - nu' c (module docstring).
+    change. One loop takes out the letters that block the step, the classical
+    gate's extra letters first and then, while one blocks, the one with the
+    most negative relative move: each leaves with a fixed move, and the rest
+    is solved again from sub-blocks of the same matrix, the fixed moves on
+    the right-hand side. The dp still solved for is damped to the boundary,
+    and the letters outside A take gain - t - nu' c (module docstring). None
+    when the gates refuse the system or a KKT matrix is singular.
     """
     evals, evecs = spectrum
     active = (p > NEWTON_ACTIVE_MASS) | (gain > log_z)
     letters = np.flatnonzero(active)
     j = letters.size
+    mass, gain_a = p[letters], gain[letters]
     lead = float(gain.max()) - log_z
     # the KKT matrix over more letters than the curvature's rank bound, d on
     # a classical channel and d^2 on a quantum one, is singular
-    low = None
+    out = None
     if evecs is not None:
         if j > evals.size ** 2:
             return None
     elif j > evals.size:
         # a classical one's lowest letters leave the system first, if they
         # all trail the level
-        low = np.argsort(gain[letters])[:j - evals.size]
-        if not (gain[letters[low]] < log_z - lead).all():
+        out = np.argsort(gain_a)[:j - evals.size]
+        if not (gain_a[out] < log_z - lead).all():
             return None
-    kkt = np.ones((j + 1, j + 1))
+    # the unknowns dp, t and, where the tilt binds, nu'
+    size = j + 1 if tilt is None else j + 2
+    kkt = np.zeros((size, size))
     kkt[:j, :j] = _curvature(ch, active, evals, evecs)
-    kkt[j, j] = 0.0
-    rhs = np.append(gain[letters], 0.0)
+    kkt[:j, j] = kkt[j, :j] = 1.0
+    rhs = np.zeros(size)
+    rhs[:j] = gain_a
     if tilt is not None:
         # the budget's row and column border the system
-        border = np.append(tilt[0][letters], 0.0)
-        kkt = np.vstack((np.column_stack((kkt, border)), np.append(border, 0.0)))
-        rhs = np.append(rhs, tilt[1])
-    mass = p[letters]
-    if low is not None:
-        solution = np.zeros(rhs.size)
-    else:
-        try:
-            solution = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            # a singular KKT matrix: no Newton step
-            return None
-    taken = None
-    if low is not None or (solution[:j] <= -NEWTON_SPARE * mass).any():
-        taken = _take_out(kkt, rhs, solution, mass, gain[letters], log_z, lead, low)
-        if taken is None:
-            return None
+        kkt[:j, -1] = kkt[-1, :j] = tilt[0][letters]
+        rhs[-1] = tilt[1]
+    kept = None
+    try:
+        solution = np.linalg.solve(kkt, rhs) if out is None else np.zeros(size)
+        # a step that takes less than NEWTON_SPARE of every mass has no blocking letter
+        if out is not None or (solution[:j] <= -NEWTON_SPARE * mass).any():
+            # a letter blocks when the step takes NEWTON_SPARE of its mass or
+            # more while its gain is undecided, or when the step crosses the
+            # boundary while its gain lies below the window
+            undecided = gain_a >= log_z - max(NEWTON_WINDOW, lead)
+            # the share of its mass a letter taken out loses: 0 for a spared one
+            cut = np.where(undecided, np.where(gain_a < log_z - lead, NEWTON_SPARE, 0.0),
+                           NEWTON_BOUNDARY)
+            bound = np.where(undecided, -NEWTON_SPARE, -1.0) * mass
+            # the rows still solved for, the constraints' last
+            kept = np.ones(size, dtype=bool)
+            fixed = np.zeros(j)
+            while True:
+                if out is None:
+                    blocking = np.flatnonzero(kept[:j] & (solution[:j] <= bound))
+                    if blocking.size == 0:
+                        break
+                    out = blocking[np.argmin(solution[blocking] / mass[blocking])]
+                kept[out] = False
+                fixed[out] = -cut[out] * mass[out]
+                solution[kept] = np.linalg.solve(kkt[np.ix_(kept, kept)],
+                                                 rhs[kept] - kkt[kept, :j] @ fixed)
+                out = None
+            solution[:j][~kept[:j]] = 0.0
+    except np.linalg.LinAlgError:
+        # a singular KKT matrix, whole or reduced: no Newton step
+        return None
     delta, level = solution[:j], solution[j]
     falls = delta < 0.0
     share = min(1.0, NEWTON_BOUNDARY * float((mass[falls] / -delta[falls]).min())
@@ -421,52 +447,12 @@ def _newton_proposal(ch, p, log_p, gain, log_z, spectrum, gamma, tilt=None):
     if tilt is not None:
         step -= solution[-1] * tilt[0]
     step[letters] = np.log1p(share * delta / mass)
-    if taken is not None:
-        fixed, spared = taken
+    if kept is not None:
         moved = fixed < 0.0
         step[letters[moved]] = np.log1p(fixed[moved] / mass[moved])
-        step[letters[spared]] = gamma * (gain[letters[spared]] - log_z)
+        spared = letters[~kept[:j] & (cut == 0.0)]
+        step[spared] = gamma * (gain[spared] - log_z)
     return _update(log_p, step)
-
-
-def _take_out(kkt, rhs, solution, mass, gain, log_z, lead, out=None):
-    """Solve the KKT system again without the letters that block its step.
-
-    A letter blocks when the step takes ``NEWTON_SPARE`` of its mass or more
-    and its gain is undecided, or when the step crosses the boundary and its
-    gain lies below the window. Starting from the letters ``out``, or else
-    from the blocking letter with the most negative relative move, each
-    pass takes letters out, fixes their moves and solves the rest again
-    with those moves on the right-hand side (module docstring); the
-    constraint rows after the letters' stay. Updates ``solution`` in place,
-    zero at the letters taken out, and returns their moves and the spared
-    letters, or None when a reduced system is singular.
-    """
-    j = mass.size
-    undecided = gain >= log_z - max(NEWTON_WINDOW, lead)
-    # the share of its mass a letter taken out loses: 0 for a spared one
-    cut = np.where(undecided, np.where(gain < log_z - lead, NEWTON_SPARE, 0.0), NEWTON_BOUNDARY)
-    bound = np.where(undecided, -NEWTON_SPARE, -1.0) * mass
-    # the rows still solved for, the constraints' last
-    kept = np.ones(rhs.size, dtype=bool)
-    fixed = np.zeros(j)
-    while True:
-        if out is None:
-            delta = solution[:j]
-            blocking = np.flatnonzero(kept[:j] & (delta <= bound))
-            if blocking.size == 0:
-                break
-            out = blocking[np.argmin(delta[blocking] / mass[blocking])]
-        kept[out] = False
-        fixed[out] = -cut[out] * mass[out]
-        try:
-            solution[kept] = np.linalg.solve(kkt[np.ix_(kept, kept)],
-                                             rhs[kept] - kkt[kept, :j] @ fixed)
-        except np.linalg.LinAlgError:
-            return None
-        out = None
-    solution[:j][~kept[:j]] = 0.0
-    return fixed, ~kept[:j] & (cut == 0.0)
 
 
 def _tilt(log_p, div, powers, budget, nu):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,12 @@ class TestGridSpec:
         with pytest.raises(BadParams, match=f"at least 2, got {resolution}") as raised:
             GridSpec(resolution)
         assert isinstance(raised.value, ValueError)
+
+    @pytest.mark.parametrize("resolution", [2.5, math.nan])
+    def test_a_resolution_that_is_not_an_integer_is_bad_params(self, resolution):
+        # grid_capacity would otherwise fail inside math.comb with a TypeError
+        with pytest.raises(BadParams, match=f"must be an integer, got {resolution}"):
+            GridSpec(resolution)
 
 
 class TestGridLimit:

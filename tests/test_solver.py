@@ -28,7 +28,7 @@ from cqcap.hermitian import EIGENVALUE_REL, LN2
 from cqcap.channel import _curvature, _spectral_terms
 from cqcap.solver import NEWTON_START, TILT_TOL_REL, _tilt, _update
 from cqcap.solver import NEWTON_BOUNDARY, NEWTON_WINDOW, _log_partition, _newton_proposal
-from cqcap.solver import NEWTON_ACTIVE_MASS
+from cqcap.solver import NEWTON_ACTIVE_MASS, NEWTON_SPARE
 from cqcap.oracle import DEFAULT_GRID_RESOLUTION, GridSpec, grid_capacity
 from cqcap.reference import output_state, relative_entropy_nats, trace_product
 from helpers import (
@@ -908,12 +908,14 @@ class TestSolverConfig:
         ({"epsilon": -1e-6}, "epsilon must be positive, got -1e-06"),
         ({"epsilon": math.nan}, "epsilon must be positive, got nan"),
         ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+        ({"max_iter": math.nan}, "max_iter must be an integer, got nan"),
+        ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
         ({"cost_limit": math.nan}, "cost_limit must be a number or inf, got nan"),
         ({"multiplier": -1.0}, "multiplier must be finite and nonnegative, got -1.0"),
         ({"multiplier": 1.0, "cost_limit": 0.5},
          "a budgeted run takes no fixed multiplier, got 1.0"),
-    ], ids=["eps-zero", "eps-negative", "eps-nan", "max-iter-zero", "budget-nan",
-            "multiplier-negative", "multiplier-with-budget"])
+    ], ids=["eps-zero", "eps-negative", "eps-nan", "max-iter-zero", "max-iter-nan",
+            "max-iter-fraction", "budget-nan", "multiplier-negative", "multiplier-with-budget"])
     def test_a_bad_parameter_is_bad_params_naming_its_value(self, fields, message):
         with pytest.raises(BadParams, match=re.escape(message)) as raised:
             SolverConfig(**fields)
@@ -975,6 +977,17 @@ class TestCurvature:
         active = np.array([True, False, True, True])
         np.testing.assert_allclose(_curvature(ch, active, evals, evecs),
                                    full[np.ix_(active, active)], rtol=1e-13, atol=0)
+
+
+def _whole_kkt(ch, evals, evecs, costs=None):
+    """The KKT matrix over every letter, bordered by ``costs`` when given."""
+    n = ch.size
+    kkt = np.zeros((n + 1, n + 1) if costs is None else (n + 2, n + 2))
+    kkt[:n, :n] = _curvature(ch, np.ones(n, dtype=bool), evals, evecs)
+    kkt[n, :n] = kkt[:n, n] = 1.0
+    if costs is not None:
+        kkt[n + 1, :n] = kkt[:n, n + 1] = costs
+    return kkt
 
 
 class TestNewtonPolish:
@@ -1134,6 +1147,85 @@ class TestNewtonPolish:
             return ba_step(ch, 0.0, make_iteration_state(ch, w))[1]
 
         assert value(proposal) > value(throttled) > value(p)
+
+    def test_a_leaving_letter_keeps_the_budgets_row_in_the_system_solved_again(self):
+        # the tilt binds, the third letter's gain lies far below the step
+        # value, and its move in the whole bordered system crosses zero mass
+        rows = np.array([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.4, 0.3, 0.3]])
+        ch = CqChannel([np.diag(row).astype(complex) for row in rows], [0.0, 1.0, 0.5])
+        p, budget = np.array([0.2, 0.3, 0.5]), 0.3
+        costs = ch.costs - ch.costs.min()
+        log_p = np.log(p)
+        evals, div, _, evecs = _spectral_terms(ch, p)
+        nu, log_z, cost = _tilt(log_p, div, np.stack((np.ones(3), costs, costs ** 2)), budget, 0.0)
+        value, gain = log_z + nu * cost, div - nu * costs
+        kkt = _whole_kkt(ch, evals, evecs, costs)
+        rhs = np.concatenate((gain, [0.0, budget - costs @ p]))
+        delta = np.linalg.solve(kkt, rhs)[:3]
+        lead = float(gain.max()) - value
+        assert nu > 0.0 and gain[2] < value - max(NEWTON_WINDOW, lead) and delta[2] < -p[2]
+        # its move is fixed, and the other two letters solve the bordered
+        # system again with that move on the right-hand side, the budget's
+        # row included; none of them falls far enough to be damped
+        leaving = -NEWTON_BOUNDARY * p[2]
+        kept = [0, 1, 3, 4]
+        rest = np.linalg.solve(kkt[np.ix_(kept, kept)], rhs[kept] - kkt[kept, 2] * leaving)[:2]
+        assert (rest > -NEWTON_SPARE * p[:2]).all()
+        proposal = _newton_proposal(ch, p, log_p, gain, value, (evals, evecs), 1.0,
+                                    (costs, budget - float(costs @ p)))
+        assert proposal == pytest.approx(p + np.append(rest, leaving), rel=1e-12)
+        assert float(costs @ proposal) == pytest.approx(budget, rel=1e-12)
+
+    def test_a_window_letter_that_trails_by_more_than_the_lead_loses_half_its_mass(self):
+        # the second letter's gain lies in the window, further below log Z
+        # than the largest gain lies above it, and the whole system's move
+        # takes half its mass or more
+        rows = np.array([[0.46, 0.36, 0.18], [0.34, 0.56, 0.10], [0.31, 0.57, 0.12]])
+        ch = CqChannel([np.diag(row).astype(complex) for row in rows])
+        p = np.array([0.49, 0.32, 0.19])
+        evals, gain, _, evecs = _spectral_terms(ch, p)
+        log_p = np.log(p)
+        log_z = _log_partition(log_p + gain)
+        lead = float(gain.max()) - log_z
+        kkt = _whole_kkt(ch, evals, evecs)
+        delta = np.linalg.solve(kkt, np.append(gain, 0.0))[:3]
+        assert log_z - NEWTON_WINDOW <= gain[1] < log_z - lead
+        assert delta[1] <= -NEWTON_SPARE * p[1]
+        # it loses exactly NEWTON_SPARE of its mass, and the other two solve
+        # again with that move on the right-hand side
+        leaving = -NEWTON_SPARE * p[1]
+        kept = [0, 2, 3]
+        rest = np.linalg.solve(kkt[np.ix_(kept, kept)],
+                               np.append(gain[[0, 2]], 0.0) - kkt[kept, 1] * leaving)[:2]
+        assert (rest > -NEWTON_SPARE * p[[0, 2]]).all()
+        proposal = _newton_proposal(ch, p, log_p, gain, log_z, (evals, evecs), 1.0)
+        assert proposal == pytest.approx(np.insert(p[[0, 2]] + rest, 1, p[1] + leaving),
+                                         rel=1e-10)
+        assert proposal[1] == pytest.approx((1.0 - NEWTON_SPARE) * p[1], rel=1e-10)
+
+    def test_a_window_letter_within_the_lead_is_spared(self):
+        # the second letter's gain lies below log Z by less than the largest
+        # gain lies above it, and the whole system's move takes half its mass
+        # or more
+        rows = np.array([[0.15, 0.34, 0.51], [0.4, 0.1, 0.5], [0.51, 0.17, 0.32]])
+        ch = CqChannel([np.diag(row).astype(complex) for row in rows])
+        p, gamma = np.array([0.35, 0.323, 0.327]), 2.0
+        evals, gain, _, evecs = _spectral_terms(ch, p)
+        log_p = np.log(p)
+        log_z = _log_partition(log_p + gain)
+        lead = float(gain.max()) - log_z
+        kkt = _whole_kkt(ch, evals, evecs)
+        delta = np.linalg.solve(kkt, np.append(gain, 0.0))[:3]
+        assert log_z - lead <= gain[1] < log_z
+        assert delta[1] <= -NEWTON_SPARE * p[1]
+        # it keeps no move in the system, which the other two solve without
+        # it, and takes the extrapolated factor gamma (gain - log Z)
+        kept = [0, 2, 3]
+        rest = np.linalg.solve(kkt[np.ix_(kept, kept)], np.append(gain[[0, 2]], 0.0))[:2]
+        assert (rest > -NEWTON_SPARE * p[[0, 2]]).all()
+        weights = np.insert(p[[0, 2]] + rest, 1, p[1] * math.exp(gamma * (gain[1] - log_z)))
+        proposal = _newton_proposal(ch, p, log_p, gain, log_z, (evals, evecs), gamma)
+        assert proposal == pytest.approx(weights / weights.sum(), rel=1e-10)
 
     def test_fock_coherent_case_87_certifies_in_a_dozen_steps(self):
         # three letters leave its support in turn; while each one damped the

@@ -217,6 +217,30 @@ def _names(tree):
     return names
 
 
+def test_one_function_solves_every_newton_kkt_system():
+    # _newton_proposal forms the active set, solves the KKT system and takes
+    # the blocking letters out, and allocates its matrix at its final size
+    # rather than stacking the budget's border onto it
+    tree = _module(SOURCE_DIR / "solver.py")
+    assert "_take_out" not in [node.name for node in ast.walk(tree)
+                               if isinstance(node, ast.FunctionDef)]
+    proposal = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_newton_proposal")
+    solves = [node.lineno for node in ast.walk(tree) if _called(node) == "solve"]
+    assert solves and solves == [node.lineno for node in ast.walk(proposal)
+                                 if _called(node) == "solve"]
+    stacked = [node.lineno for node in ast.walk(tree)
+               if _called(node) in ("vstack", "column_stack")]
+    assert stacked == []
+
+
+def _called(node):
+    """The last name of what a call node calls, such as ``solve``; "" for any other node."""
+    if not isinstance(node, ast.Call):
+        return ""
+    return node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+
+
 def test_solver_leaves_the_support_layout_to_the_channel():
     # the step kernel lives in channel.py; the solver takes no spectrum and
     # reads no private field of a channel itself
