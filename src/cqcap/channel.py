@@ -56,10 +56,15 @@ class InputDistribution:
 
     @classmethod
     def uniform(cls, n: int) -> "InputDistribution":
+        if n < 1:
+            raise ValueError(f"a distribution needs at least one letter, got {n!r}")
         return cls(np.full(n, 1.0 / n))
 
     @classmethod
     def point_mass(cls, n: int, letter: int) -> "InputDistribution":
+        # a negative letter would index from the end
+        if not 0 <= letter < n:
+            raise ValueError(f"letter {letter!r} is not one of the {n!r} letters")
         p = np.zeros(n)
         p[letter] = 1.0
         return cls(p)

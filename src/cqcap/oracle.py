@@ -29,7 +29,9 @@ DEFAULT_GRID_RESOLUTION = {1: 2, 2: 1000, 3: 200, 4: 60}
 class GridSpec:
     """Simplex grid with step 1/resolution; optionally penalize cost at a fixed multiplier.
 
-    A resolution that is not an integer, or is below 2, raises ``BadParams``.
+    A resolution that is not an integer, or is below 2, raises ``BadParams``,
+    and so does a penalty multiplier that is not finite and nonnegative;
+    ``None`` means no penalty.
     """
 
     resolution: int
@@ -40,6 +42,10 @@ class GridSpec:
             raise BadParams(f"grid resolution must be an integer, got {self.resolution!r}")
         if self.resolution < 2:
             raise BadParams(f"grid resolution must be at least 2, got {self.resolution!r}")
+        # a nan fails every comparison, so it fails this one too
+        if self.penalty_multiplier is not None and not 0 <= self.penalty_multiplier < math.inf:
+            raise BadParams("penalty multiplier must be finite and nonnegative, "
+                            f"got {self.penalty_multiplier!r}")
 
 
 @dataclass(frozen=True)

@@ -68,26 +68,29 @@ singular below that bound.
 
 The step is a primal active-set step (Nocedal and Wright, Numerical
 Optimization, ch. 16). A letter blocks it when dp takes ``NEWTON_SPARE`` of
-its mass or more while its gain lies within ``NEWTON_WINDOW`` (or the largest
-gain's lead) below log Z, where it may still belong to the support, or when
-dp crosses the boundary while its gain lies below that window. The blocking
-letter with the most negative relative move leaves the system with a fixed
-move, and the rest is solved again with that move on the right-hand side,
-H_SS dp_S + t 1 = gain_S - H_SL dp_L, 1.dp_S = -1.dp_L, from sub-blocks of
-the one KKT matrix, until no letter blocks. A letter below the window moves
-``NEWTON_BOUNDARY`` of the way to the boundary, so one leaving letter no
-longer damps every other move. A letter in the window that trails log Z by
-more than the largest gain leads it loses ``NEWTON_SPARE`` of its mass, so
-that it shrinks by halves rather than at the first-order rate; any other
-letter in the window is spared: it keeps no move in the system and takes
-the extrapolated factor gamma (gain - log Z), so that a letter with a small
-optimal mass is not crushed to where no ascent step can bring it back. The
-moves still solved for are damped to ``NEWTON_BOUNDARY`` of the way to the
-boundary, and letters outside A take gain - t. A classical H = (W / lambda)
-W^T has rank at most d, and each row of W sums to 1, so a null vector v of H
-has 1.v = 0 and the KKT matrix over more than d letters is singular; there
-the lowest-gain letters beyond d leave the system first, as above, when all
-of them trail the level.
+its mass or more while its gain lies within ``NEWTON_WINDOW`` (or the
+largest gain's lead) below log Z, where it may still belong to the support,
+or when dp crosses the boundary while its gain lies below that window. The
+blocking letter with the most negative relative move leaves the system with
+a fixed move, and the rest solves H_SS dp_S + t 1 = gain_S - H_SL dp_L,
+1.dp_S = -1.dp_L, until no letter blocks. One solve on [rhs | I] gives the
+solution x and the KKT matrix's inverse B; letter k leaves by the rank-one
+sweep c = B e_k / B_kk, x += (dp_k - x_k) c, B -= c B_k, which leaves the
+reduced system's solution and inverse, and B_kk = 0 when that system is
+singular. A letter below the window moves ``NEWTON_BOUNDARY`` of the way to
+the boundary, so one leaving letter no longer damps every other move. A
+letter in the window that trails log Z by more than the largest gain leads
+it loses ``NEWTON_SPARE`` of its mass, so that it shrinks by halves rather
+than at the first-order rate; any other letter in the window is spared: it
+keeps no move in the system and takes the extrapolated factor
+gamma (gain - log Z), so that a letter with a small optimal mass is not
+crushed to where no ascent step can bring it back. The moves still solved
+for are damped to ``NEWTON_BOUNDARY`` of the way to the boundary, and
+letters outside A take gain - t. A classical H = (W / lambda) W^T has rank
+at most d, and each row of W sums to 1, so a null vector v of H has 1.v = 0
+and the KKT matrix over more than d letters is singular; there the
+lowest-gain letters beyond d leave the system first, when all of them trail
+the level: unit rows and columns fix their moves before the solve.
 
 The proposal is kept only when its step value is strictly above log Z(s)
 (and then gamma grows as for a kept extrapolation); otherwise it counts in
@@ -102,14 +105,13 @@ has the budget's row too: gain_A = D_A - nu c_A = t with c.p = S, the tilt
 solved with p. The proposal solves the bordered system (Nocedal and Wright,
 ch. 16) [H 1 c; 1^T 0 0; c^T 0 0] [dp; t; nu'] = [gain_A; 0; S - c.p] in
 the shifted costs, nu' being the tilt's change, and the letters outside A
-take gain - t - nu' c. Each system solved again keeps the row, with the
-fixed moves on its right-hand side too. The row reaches the proposal
-through the state's evaluation, which finds the tilt; nu = 0 and the
-infinite tilt solve the plain system on their own gain. The proposal is
-evaluated, and so tilted again, like any other, and kept only when its
-step value log Z_nu + nu c.T_nu beats the current one. Its window and
-activity tests compare the gains with that step value, which lies
-nu c.T_nu above their own level log Z_nu: measured against the level
+take gain - t - nu' c; the sweeps keep the row in each reduced system. The
+row reaches the proposal through the state's evaluation, which finds the
+tilt; nu = 0 and the infinite tilt solve the plain system on their own
+gain. The proposal is evaluated, and so tilted again, like any other, and
+kept only when its step value log Z_nu + nu c.T_nu beats the current one.
+Its window and activity tests compare the gains with that step value, which
+lies nu c.T_nu above their own level log Z_nu: measured against the level
 itself, a leaving letter whose gain the unsettled tilt lifted into the
 window was spared and took more steps.
 
@@ -371,87 +373,85 @@ def _newton_proposal(ch, p, log_p, gain, log_z, spectrum, gamma, tilt=None):
     the tilt binds, ``tilt`` holds the shifted costs c and the headroom
     S - c.p, and the system gains the budget's row and column:
     H_AA dp + t 1 + nu' c_A = gain_A, c_A.dp = S - c.p, nu' the tilt's
-    change. One loop takes out the letters that block the step, the classical
-    gate's extra letters first and then, while one blocks, the one with the
-    most negative relative move: each leaves with a fixed move, and the rest
-    is solved again from sub-blocks of the same matrix, the fixed moves on
-    the right-hand side. The dp still solved for is damped to the boundary,
-    and the letters outside A take gain - t - nu' c (module docstring). None
-    when the gates refuse the system or a KKT matrix is singular.
+    change. One solve on [rhs | I] gives the solution and the inverse, and
+    each blocking letter leaves by a rank-one sweep of the inverse (module
+    docstring). None when the gates refuse the system or a KKT matrix, whole
+    or reduced, is singular.
     """
     evals, evecs = spectrum
     active = (p > NEWTON_ACTIVE_MASS) | (gain > log_z)
-    letters = np.flatnonzero(active)
+    letters = active.nonzero()[0]
     j = letters.size
     mass, gain_a = p[letters], gain[letters]
     lead = float(gain.max()) - log_z
     # the KKT matrix over more letters than the curvature's rank bound, d on
     # a classical channel and d^2 on a quantum one, is singular
-    out = None
+    taken = []
     if evecs is not None:
         if j > evals.size ** 2:
             return None
     elif j > evals.size:
-        # a classical one's lowest letters leave the system first, if they
-        # all trail the level
-        out = np.argsort(gain_a)[:j - evals.size]
-        if not (gain_a[out] < log_z - lead).all():
+        # a classical one's lowest letters leave the system first, if they all trail the level
+        taken = gain_a.argsort()[:j - evals.size].tolist()
+        if not (gain_a[taken] < log_z - lead).all():
             return None
+    # a letter blocks when the step takes NEWTON_SPARE of its mass or more while its gain
+    # is undecided, or when the step crosses the boundary while its gain lies below the window
+    undecided = gain_a >= log_z - max(NEWTON_WINDOW, lead)
+    # the share of its mass a letter taken out loses: 0 for a spared one
+    cut = np.where(undecided, np.where(gain_a < log_z - lead, NEWTON_SPARE, 0.0),
+                   NEWTON_BOUNDARY)
+    bound = np.where(undecided, -NEWTON_SPARE, -1.0) * mass
     # the unknowns dp, t and, where the tilt binds, nu'
     size = j + 1 if tilt is None else j + 2
     kkt = np.zeros((size, size))
     kkt[:j, :j] = _curvature(ch, active, evals, evecs)
     kkt[:j, j] = kkt[j, :j] = 1.0
-    rhs = np.zeros(size)
+    sides = np.eye(size, size + 1, 1)
+    rhs = sides[:, 0]
     rhs[:j] = gain_a
     if tilt is not None:
         # the budget's row and column border the system
         kkt[:j, -1] = kkt[-1, :j] = tilt[0][letters]
         rhs[-1] = tilt[1]
-    kept = None
+    if taken:
+        # their fixed moves go to the right-hand side, unit rows keep them, and they block no more
+        fixed = -cut[taken] * mass[taken]
+        rhs -= kkt[:, taken] @ fixed
+        kkt[taken] = kkt[:, taken] = 0.0
+        kkt[taken, taken] = 1.0
+        rhs[taken] = fixed
+        bound[taken] = -math.inf
     try:
-        solution = np.linalg.solve(kkt, rhs) if out is None else np.zeros(size)
-        # a step that takes less than NEWTON_SPARE of every mass has no blocking letter
-        if out is not None or (solution[:j] <= -NEWTON_SPARE * mass).any():
-            # a letter blocks when the step takes NEWTON_SPARE of its mass or
-            # more while its gain is undecided, or when the step crosses the
-            # boundary while its gain lies below the window
-            undecided = gain_a >= log_z - max(NEWTON_WINDOW, lead)
-            # the share of its mass a letter taken out loses: 0 for a spared one
-            cut = np.where(undecided, np.where(gain_a < log_z - lead, NEWTON_SPARE, 0.0),
-                           NEWTON_BOUNDARY)
-            bound = np.where(undecided, -NEWTON_SPARE, -1.0) * mass
-            # the rows still solved for, the constraints' last
-            kept = np.ones(size, dtype=bool)
-            fixed = np.zeros(j)
-            while True:
-                if out is None:
-                    blocking = np.flatnonzero(kept[:j] & (solution[:j] <= bound))
-                    if blocking.size == 0:
-                        break
-                    out = blocking[np.argmin(solution[blocking] / mass[blocking])]
-                kept[out] = False
-                fixed[out] = -cut[out] * mass[out]
-                solution[kept] = np.linalg.solve(kkt[np.ix_(kept, kept)],
-                                                 rhs[kept] - kkt[kept, :j] @ fixed)
-                out = None
-            solution[:j][~kept[:j]] = 0.0
+        solved = np.linalg.solve(kkt, sides)
     except np.linalg.LinAlgError:
-        # a singular KKT matrix, whole or reduced: no Newton step
         return None
-    delta, level = solution[:j], solution[j]
+    solution, inverse = solved[:, 0], solved[:, 1:]
+    delta = solution[:j]
+    while (blocking := (delta <= bound).nonzero()[0]).size:
+        k = blocking[(delta[blocking] / mass[blocking]).argmin()]
+        pivot = float(inverse[k, k])
+        # a zero pivot: the system without letter k is singular
+        if not 0.0 < abs(pivot) < math.inf:
+            return None
+        column = inverse[:, k] / pivot
+        solution += (-cut[k] * mass[k] - delta[k]) * column
+        inverse -= column[:, None] * inverse[k]
+        bound[k] = -math.inf
+        taken.append(k)
+    delta[taken] = 0.0
     falls = delta < 0.0
     share = min(1.0, NEWTON_BOUNDARY * float((mass[falls] / -delta[falls]).min())
                 if falls.any() else 1.0)
-    step = gain - level
+    step = gain - solution[j]
     if tilt is not None:
         step -= solution[-1] * tilt[0]
     step[letters] = np.log1p(share * delta / mass)
-    if kept is not None:
-        moved = fixed < 0.0
-        step[letters[moved]] = np.log1p(fixed[moved] / mass[moved])
-        spared = letters[~kept[:j] & (cut == 0.0)]
-        step[spared] = gamma * (gain[spared] - log_z)
+    if taken:
+        # each moves by its fixed share, or a spared one by gamma (gain - log Z)
+        out = letters[taken]
+        step[out] = np.where(cut[taken] > 0.0, np.log1p(-cut[taken]),
+                             gamma * (gain[out] - log_z))
     return _update(log_p, step)
 
 

@@ -70,6 +70,17 @@ class TestInputDistribution:
         assert np.allclose(InputDistribution.uniform(4).probs, 0.25)
         assert np.allclose(InputDistribution.point_mass(3, 1).probs, [0, 1, 0])
 
+    @pytest.mark.parametrize("n, letter", [(3, -1), (3, 3), (3, 5), (0, 0)])
+    def test_point_mass_off_the_alphabet_rejected(self, n, letter):
+        # -1 would index the last letter
+        with pytest.raises(ValueError, match=f"letter {letter} is not one of the {n} letters"):
+            InputDistribution.point_mass(n, letter)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_uniform_over_no_letter_rejected(self, n):
+        with pytest.raises(ValueError, match=f"at least one letter, got {n}"):
+            InputDistribution.uniform(n)
+
 
 class TestOutputState:
     def test_point_mass_returns_that_state(self):

@@ -143,6 +143,17 @@ class TestGridSpec:
         with pytest.raises(BadParams, match=f"must be an integer, got {resolution}"):
             GridSpec(resolution)
 
+    @pytest.mark.parametrize("multiplier", [math.nan, math.inf, -math.inf, -1.0])
+    def test_a_penalty_multiplier_that_is_not_finite_and_nonnegative_is_bad_params(
+            self, multiplier):
+        # grid_capacity would otherwise return nan, or a value that rewards cost
+        with pytest.raises(BadParams, match=f"finite and nonnegative, got {multiplier}"):
+            GridSpec(20, penalty_multiplier=multiplier)
+
+    def test_no_penalty_and_a_zero_penalty_are_accepted(self):
+        assert GridSpec(20).penalty_multiplier is None
+        assert GridSpec(20, penalty_multiplier=0.0).penalty_multiplier == 0.0
+
 
 class TestGridLimit:
     def test_oversized_grid_refused_before_it_is_built(self, monkeypatch):

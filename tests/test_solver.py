@@ -1227,6 +1227,103 @@ class TestNewtonPolish:
         proposal = _newton_proposal(ch, p, log_p, gain, log_z, (evals, evecs), gamma)
         assert proposal == pytest.approx(weights / weights.sum(), rel=1e-10)
 
+    def test_each_proposal_solves_once_however_many_letters_leave(self, monkeypatch):
+        # an 8-letter classical channel whose proposals take several letters
+        # out of their systems in turn
+        rows = diag_sweep_transition(2024, 78)
+        ch = CqChannel([np.diag(row).astype(complex) for row in rows])
+        solve, propose, update = np.linalg.solve, cqcap.solver._newton_proposal, _update
+        solves, steps, proposals = [], [], []
+        # a letter taken out below the window, or in it, keeps a fixed share of its mass
+        fixed = np.log1p(-np.array([NEWTON_BOUNDARY, NEWTON_SPARE]))
+
+        def counting_solve(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        def recording_update(log_p, step, *args):
+            steps.append(step)
+            return update(log_p, step, *args)
+
+        def recording(*args):
+            solves.clear()
+            steps.clear()
+            proposal = propose(*args)
+            taken = 0 if proposal is None else int(np.isclose(
+                steps[-1][:, None], fixed, rtol=1e-12, atol=0.0).any(axis=1).sum())
+            proposals.append((len(solves), taken))
+            return proposal
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(cqcap.solver, "_update", recording_update)
+        monkeypatch.setattr(cqcap.solver, "_newton_proposal", recording)
+        res, _ = solve_fixed_lambda(ch, SolverConfig(epsilon=1e-8))
+        monkeypatch.undo()
+        assert res.certified and res.newton_steps > 0
+        assert max(taken for _, taken in proposals) >= 2
+        assert max(count for count, _ in proposals) == 1
+
+    def test_letters_leave_in_turn_from_one_inverse(self, monkeypatch):
+        # the second letter's move in the whole system crosses zero mass, and
+        # once it is fixed, so does the first letter's; both gains lie below
+        # the window
+        rows = np.array([[0.13, 0.55, 0.26, 0.06], [0.18, 0.45, 0.33, 0.04],
+                         [0.22, 0.09, 0.49, 0.2], [0.29, 0.56, 0.04, 0.11]])
+        ch = CqChannel([np.diag(row).astype(complex) for row in rows])
+        p = np.array([0.12, 0.23, 0.34, 0.31])
+        evals, gain, _, evecs = _spectral_terms(ch, p)
+        log_p = np.log(p)
+        log_z = _log_partition(log_p + gain)
+        lead = float(gain.max()) - log_z
+        assert (gain[:2] < log_z - max(NEWTON_WINDOW, lead)).all()
+        kkt = _whole_kkt(ch, evals, evecs)
+        rhs = np.append(gain, 0.0)
+        delta = np.linalg.solve(kkt, rhs)[:4]
+        assert delta[1] <= -p[1] and delta[1] / p[1] < delta[0] / p[0]
+        kept = [0, 2, 3, 4]
+        again = np.linalg.solve(kkt[np.ix_(kept, kept)],
+                                rhs[kept] + kkt[kept, 1] * NEWTON_BOUNDARY * p[1])
+        assert again[0] <= -p[0]
+        # both leave with their fixed moves, and the other two solve the
+        # system without them; none of those falls far enough to be damped
+        leaving = -NEWTON_BOUNDARY * p[:2]
+        kept = [2, 3, 4]
+        rest = np.linalg.solve(kkt[np.ix_(kept, kept)],
+                               rhs[kept] - kkt[np.ix_(kept, [0, 1])] @ leaving)[:2]
+        assert (rest > -NEWTON_SPARE * p[2:]).all()
+        solves = []
+        solve = np.linalg.solve
+
+        def counting_solve(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        proposal = _newton_proposal(ch, p, log_p, gain, log_z, (evals, evecs), 1.0)
+        monkeypatch.undo()
+        assert len(solves) == 1
+        assert proposal == pytest.approx(p + np.concatenate((leaving, rest)), rel=1e-10)
+
+    def test_a_singular_reduced_system_is_no_proposal(self, monkeypatch):
+        # an indefinite hand-built H, which no channel's curvature is: the
+        # whole KKT matrix is regular, but H's first two rows and columns
+        # make the system without the third letter singular, and that letter
+        # crosses zero mass below the window
+        ch = CqChannel([np.diag(row).astype(complex) for row in np.eye(3)])
+        curvature = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
+        monkeypatch.setattr(cqcap.solver, "_curvature", lambda *args: curvature)
+        p, gain = np.array([0.25, 0.25, 0.5]), np.array([1.0, 0.0, -1.0])
+        log_p = np.log(p)
+        log_z = _log_partition(log_p + gain)
+        assert gain[2] < log_z - max(NEWTON_WINDOW, float(gain.max()) - log_z)
+        kkt = np.ones((4, 4))
+        kkt[:3, :3] = curvature
+        kkt[3, 3] = 0.0
+        assert np.linalg.solve(kkt, np.append(gain, 0.0))[2] <= -p[2]
+        assert np.linalg.matrix_rank(kkt[np.ix_([0, 1, 3], [0, 1, 3])]) == 2
+        evals = _spectral_terms(ch, p)[0]
+        assert _newton_proposal(ch, p, log_p, gain, log_z, (evals, None), 1.0) is None
+
     def test_fock_coherent_case_87_certifies_in_a_dozen_steps(self):
         # three letters leave its support in turn; while each one damped the
         # whole step to the boundary, the run took 21 iterations

@@ -234,6 +234,19 @@ def test_one_function_solves_every_newton_kkt_system():
     assert stacked == []
 
 
+def test_a_newton_proposal_factors_its_kkt_matrix_once():
+    # the one solve, on [rhs | I], comes before the take-out loop, whose
+    # letters leave by sweeping the inverse rather than by solving sub-blocks
+    tree = _module(SOURCE_DIR / "solver.py")
+    assert [node.lineno for node in ast.walk(tree) if _called(node) == "ix_"] == []
+    proposal = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_newton_proposal")
+    assert len([node for node in ast.walk(proposal) if _called(node) == "solve"]) == 1
+    looped = [node.lineno for loop in ast.walk(proposal) if isinstance(loop, (ast.For, ast.While))
+              for node in ast.walk(loop) if _called(node) == "solve"]
+    assert looped == []
+
+
 def _called(node):
     """The last name of what a call node calls, such as ``solve``; "" for any other node."""
     if not isinstance(node, ast.Call):
