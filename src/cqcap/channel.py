@@ -56,12 +56,15 @@ class InputDistribution:
 
     @classmethod
     def uniform(cls, n: int) -> "InputDistribution":
+        _check_integer("letter count", n)
         if n < 1:
             raise ValueError(f"a distribution needs at least one letter, got {n!r}")
         return cls(np.full(n, 1.0 / n))
 
     @classmethod
     def point_mass(cls, n: int, letter: int) -> "InputDistribution":
+        _check_integer("letter count", n)
+        _check_integer("letter", letter)
         # a negative letter would index from the end
         if not 0 <= letter < n:
             raise ValueError(f"letter {letter!r} is not one of the {n!r} letters")
@@ -74,6 +77,12 @@ class InputDistribution:
 
     def __repr__(self) -> str:
         return f"InputDistribution({self._probs.tolist()})"
+
+
+def _check_integer(name: str, value) -> None:
+    # np.full and indexing would take a float, and bool subclasses int
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def as_probability_vector(p, n: int | None = None) -> np.ndarray:
@@ -122,11 +131,11 @@ class CqChannel:
             raise DimensionMismatch("all states must share one dimension")
         n = len(resolved)
         if raw:
-            stack, validated = _validate_stack(np.stack(mats))
+            stack, validated = _validate_stack(np.array(mats))
             for k, rho in zip(raw, validated):
                 resolved[k] = rho
         if len(raw) < n:
-            stack = np.stack([s.matrix for s in resolved])
+            stack = np.array([s.matrix for s in resolved])
             stack.setflags(write=False)
         if costs is None:
             cost_vec = np.zeros(n)
@@ -345,8 +354,15 @@ class IndependenceReport:
 def independence_check(ch: CqChannel) -> IndependenceReport:
     """Linear independence of the output states via the trace Gram matrix.
 
-    The smallest Gram eigenvalue is reported alongside the flag; the
-    geometric convergence rate improves monotonically with it.
+    The smallest Gram eigenvalue is reported alongside the flag. The paper
+    proves that independent output states give the plain iteration geometric
+    convergence: from some step N_0 on it reaches accuracy eps within about
+    log_{1 - delta}(eps / D(p* || p^{N_0})) steps, for a positive delta. It
+    ties delta to no Gram eigenvalue, and the rate is not monotone in the
+    smallest one. From the uniform start to a gap of 1e-6 (``ba_step``),
+    ``random_channel(3, 2, 20001, "mixed")`` has smallest eigenvalue 1.05e-2
+    and takes 1,524 plain iterations, ``random_channel(4, 2, 20011, "mixed")``
+    has 4.4e-5 and takes 87.
     """
     smallest = float(np.linalg.eigvalsh(ch.gram)[0])
     threshold = 1e-10 * float(np.trace(ch.gram))

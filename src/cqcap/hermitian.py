@@ -4,17 +4,20 @@ A validated state carries its spectral entropy in nats (``entropy_nats``),
 which the solver reads. The exact-matrix divergences, the log on the support
 and entropies in bits are reference math, in ``cqcap.reference``.
 
-Validation takes eigenvalues only. A state's eigenvalues at or below the
-cutoff are clamped to zero in its spectrum, but its matrix is not rebuilt
-from the clamped spectrum: it stays the symmetrized input, divided by its
-trace. Each clamped eigenvalue is at most the cutoff in size, and dividing
-by the trace moves the kept ones by as much as the clamped ones sum to, so
-the stored matrix is within 2 m * cutoff in trace norm of the state whose
-spectrum and entropy are reported (cutoff = ``EIGENVALUE_REL`` times the
-largest eigenvalue, at most 1e-12). Symmetrizing already discards an
-asymmetry of up to ``HERMITIAN_TOL`` times the entry scale, far more than
-this. Divergences against an operator whose log is bounded by L in norm
-move by at most 2 m * cutoff * L.
+Validation takes eigenvalues only, and a state within a tenth of the
+cutoff of rank one takes none: its spectrum is (t, 0, ..., 0), t its trace,
+which is what its eigenvalues give once clamped (``_rank_one``). A state's
+eigenvalues at or below the cutoff are clamped to zero in its spectrum, but
+its matrix is not rebuilt from the clamped spectrum: it stays the
+symmetrized input, divided by its trace. Each clamped eigenvalue is at
+most the cutoff in size, and dividing by the trace moves the kept ones by
+as much as the clamped ones sum to, so the stored matrix is within
+2 m * cutoff in trace norm of the state whose spectrum and entropy are
+reported (cutoff = ``EIGENVALUE_REL`` times the largest eigenvalue, at most
+1e-12). Symmetrizing already discards an asymmetry of up to
+``HERMITIAN_TOL`` times the entry scale, far more than this. Divergences
+against an operator whose log is bounded by L in norm move by at most
+2 m * cutoff * L.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ LN2 = math.log(2.0)
 HERMITIAN_TOL = 1e-9    # max-norm asymmetry, relative to the entry scale
 TRACE_TOL = 1e-9        # |Tr - 1|
 EIGENVALUE_REL = 1e-12  # support cutoff, relative to the largest eigenvalue
+_TINY = np.finfo(float).tiny
 
 
 class DensityMatrix:
@@ -88,49 +92,114 @@ def validate_density(raw) -> DensityMatrix:
     ``(-cutoff, cutoff]`` are clamped to zero and the rest renormalized, and
     the matrix is divided by its trace; the cutoff is ``EIGENVALUE_REL``
     times the largest eigenvalue. Larger negativity, asymmetry, or trace
-    deviation raise instead of being repaired.
+    deviation raise instead of being repaired. A state within a tenth of the
+    cutoff of rank one skips the eigenvalues: its spectrum is exactly
+    (1, 0, ..., 0), the one the rule gives it, and its matrix is divided by
+    its trace.
     """
     return _validate_stack(np.asarray(raw, dtype=np.complex128)[None])[1][0]
 
 
 def _first_bad(flags: np.ndarray) -> int | None:
-    bad = np.flatnonzero(flags)
-    return int(bad[0]) if bad.size else None
+    return int(flags.argmax()) if flags.any() else None
 
 
 def _validate_stack(a: np.ndarray) -> tuple[np.ndarray, list[DensityMatrix]]:
     """:func:`validate_density`'s rule on each matrix of an (n, m, m) complex stack.
 
     Returns the validated matrices as one read-only stack, and each as a state.
-    Every check runs along the first axis at once, and one batched
-    ``eigvalsh`` serves all states; an error names the index of the first
-    faulty state.
+    Every check runs along the first axis at once, and an error names the
+    index of the first faulty state. A state that ``_rank_one`` passes takes
+    the spectrum (t, 0, ..., 0), t its trace, and is repaired like any
+    clamped state; the others share one batched ``eigvalsh``.
     """
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape[1:]}")
-    if (k := _first_bad(~np.isfinite(a).all(axis=(1, 2)))) is not None:
-        raise ValueError(f"state {k}: matrix entries must be finite")
-    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
-    adjoint = a.conj().swapaxes(1, 2)
+    n, m = a.shape[:2]
+    # the largest entry's size is finite only if every entry is
+    largest = np.abs(a).max(axis=(1, 2))
+    finite = np.isfinite(largest)
+    if not finite.all():
+        raise ValueError(f"state {int(finite.argmin())}: matrix entries must be finite")
+    adjoint = np.conj(a.swapaxes(1, 2), order="C")
     asymmetry = np.abs(a - adjoint).max(axis=(1, 2))
-    if (k := _first_bad(asymmetry > HERMITIAN_TOL * scale)) is not None:
+    if (k := _first_bad(asymmetry > HERMITIAN_TOL * np.maximum(1.0, largest))) is not None:
         raise NotHermitian(f"state {k}: asymmetry {asymmetry[k]:.3e} exceeds tolerance")
     herm = 0.5 * (a + adjoint)
-    trace = np.trace(herm, axis1=1, axis2=2).real
+    trace = herm.trace(axis1=1, axis2=2).real
     if (k := _first_bad(np.abs(trace - 1.0) > TRACE_TOL)) is not None:
         raise BadTrace(f"state {k}: trace {float(trace[k])!r} deviates from 1 beyond tolerance")
-    w = np.linalg.eigvalsh(herm)[:, ::-1]
-    cutoff = EIGENVALUE_REL * np.maximum(w[:, 0], np.finfo(float).tiny)
+    pure = _rank_one(herm, trace)
+    w = np.zeros((n, m))
+    w[:, 0] = trace
+    if pure is None or not pure.all():
+        # the Ellipsis takes every state without a copy
+        mixed = ... if pure is None else ~pure
+        w[mixed] = np.linalg.eigvalsh(herm[mixed])[:, ::-1]
+    cutoff = EIGENVALUE_REL * np.maximum(w[:, 0], _TINY)
     if (k := _first_bad(w[:, -1] < -cutoff)) is not None:
         raise NotPSD(f"state {k}: eigenvalue {float(w[k, -1]):.3e} below -{cutoff[k]:.3e}")
     clamped = np.where(w <= cutoff[:, None], 0.0, w)
     repair = (clamped != w).any(axis=1) | (np.abs(clamped.sum(axis=1) - 1.0) > 1e-13)
+    if pure is not None:
+        repair |= pure
     if repair.any():
-        clamped[repair] /= clamped[repair].sum(axis=1, keepdims=True)
-        herm[repair] /= trace[repair, None, None]
+        if not repair.all():
+            clamped[repair] /= clamped[repair].sum(axis=1, keepdims=True)
+            herm[repair] /= trace[repair, None, None]
+        else:
+            clamped /= clamped.sum(axis=1, keepdims=True)
+            herm /= trace[:, None, None]
     for arr in (herm, clamped):
         arr.setflags(write=False)
-    return herm, [DensityMatrix(herm[k], clamped[k]) for k in range(a.shape[0])]
+    return herm, [DensityMatrix(herm[k], clamped[k]) for k in range(n)]
+
+
+def _rank_one(herm: np.ndarray, trace: np.ndarray) -> np.ndarray | None:
+    """Which states of a Hermitian stack with traces ``trace`` are rank one; None if none.
+
+    With k the index of a state's largest diagonal entry, v = rho[:, k] /
+    sqrt(rho_kk) and R = rho - v v^H, the state passes when ||R||_F <= delta =
+    0.1 * ``EIGENVALUE_REL`` * t. By Weyl's inequality every eigenvalue of rho
+    lies within ||R||_2 <= ||R||_F of the spectrum (|v|^2, 0, ..., 0). So its
+    m - 1 small eigenvalues lie within a tenth of the cutoff of zero, where
+    the eigenvalue rule clamps every one of them and raises no ``NotPSD``,
+    and its clamped spectrum renormalizes to exactly (1, 0, ..., 0). This
+    path follows that clamp rule: if the rule changes, the bound must too.
+    R is formed explicitly: ||rho||^2 - 2 v^H rho v + |v|^4 resolves it only
+    to ~1e-8.
+
+    A purity screen picks the states that get the residual. ||R||_F <= delta
+    gives |Tr rho^2 - t^2| <= 2 (sqrt(m) + 1) delta t, well inside the
+    screen's sqrt(m) * ``EIGENVALUE_REL`` * t^2, so a mixed stack pays one
+    reduction and no residual. The diagonal sums to t, which the trace check
+    holds near 1, so the largest diagonal entry is at least t / m and its
+    square root is safe.
+    """
+    m = herm.shape[1]
+    # an entry whose square overflows leaves Tr rho^2 infinite, off the screen
+    with np.errstate(over="ignore"):
+        purity = _squared_norms(herm)
+    square = trace * trace
+    pure = np.abs(purity - square) <= math.sqrt(m) * EIGENVALUE_REL * square
+    if not pure.any():
+        return None
+    rho = herm if pure.all() else herm[pure]
+    diag = rho.diagonal(axis1=1, axis2=2).real
+    rows = np.arange(rho.shape[0])
+    k = diag.argmax(axis=1)
+    v = rho[rows, :, k] / np.sqrt(diag[rows, k])[:, None]
+    resid = np.matmul(v[:, :, None], v.conj()[:, None, :])
+    np.subtract(rho, resid, out=resid)
+    delta = 0.1 * EIGENVALUE_REL * trace[pure]
+    pure[pure] = _squared_norms(resid) <= delta * delta
+    return pure
+
+
+def _squared_norms(stack: np.ndarray) -> np.ndarray:
+    """Each matrix's squared Frobenius norm, as one batched real dot product."""
+    flat = stack.reshape(stack.shape[0], 1, -1).view(np.float64)
+    return (flat @ flat.swapaxes(1, 2)).reshape(-1)
 
 
 def _entropy_nats(eigenvalues: np.ndarray) -> float:

@@ -48,6 +48,19 @@ def kernel_projector(rho) -> np.ndarray:
     return v @ v.conj().T
 
 
+def count_eigvalsh_calls(monkeypatch) -> list:
+    """Patch ``np.linalg.eigvalsh`` to record the shape of each call; returns the record."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return shapes
+
+
 def random_simplex_point(rng, n: int, floor: float = 0.0) -> np.ndarray:
     p = rng.random(n) + floor
     return p / p.sum()

@@ -35,6 +35,7 @@ from cqcap.reference import (
 from helpers import (
     NONORTH_PAIR_CAPACITY,
     binary_entropy_bits,
+    count_eigvalsh_calls,
     kernel_projector,
     nonorthogonal_pair_channel,
     orthogonal_channel,
@@ -80,6 +81,22 @@ class TestInputDistribution:
     def test_uniform_over_no_letter_rejected(self, n):
         with pytest.raises(ValueError, match=f"at least one letter, got {n}"):
             InputDistribution.uniform(n)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: InputDistribution.point_mass(3, 1.5), "letter must be an integer, got 1.5"),
+        (lambda: InputDistribution.point_mass(3, True), "letter must be an integer, got True"),
+        (lambda: InputDistribution.point_mass(2.0, 1), "letter count must be an integer, got 2.0"),
+        (lambda: InputDistribution.uniform(2.5), "letter count must be an integer, got 2.5"),
+        (lambda: InputDistribution.uniform(True), "letter count must be an integer, got True"),
+    ], ids=["float-letter", "bool-letter", "float-count", "float-uniform", "bool-uniform"])
+    def test_non_integer_count_or_letter_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        assert np.array_equal(InputDistribution.point_mass(np.int64(3), np.int32(2)).probs,
+                              [0.0, 0.0, 1.0])
+        assert np.allclose(InputDistribution.uniform(np.int64(4)).probs, 0.25)
 
 
 class TestOutputState:
@@ -200,6 +217,44 @@ class TestStackValidation:
             mats = good[:k] + [bad] + good[k:]
             with pytest.raises(error, match=f"state {k}:"):
                 CqChannel(mats)
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([[0.5, 0.3, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]), NotHermitian),
+        (np.diag([0.6, 0.5, 0.0]), BadTrace),
+        (np.diag([1.5, -0.5, 0.0]), NotPSD),
+        (np.diag([1.0, 1e-11, -1e-11]), NotPSD),
+        (np.array([[np.inf, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), ValueError),
+    ], ids=["asymmetric", "trace", "negative", "negative-beside-pure", "infinite"])
+    def test_bad_state_among_pure_and_mixed_is_named_by_index(self, bad, error):
+        # the pure states skip the eigenvalues, the mixed ones take them
+        rng = np.random.default_rng(73)
+        ket = rng.normal(size=3) + 1j * rng.normal(size=3)
+        ket /= np.linalg.norm(ket)
+        good = [np.outer(ket, ket.conj()), random_density_matrix(rng, 3).matrix,
+                np.diag([1.0, 0.0, 0.0]), np.eye(3) / 3]
+        for k in range(len(good) + 1):
+            with pytest.raises(error, match=f"state {k}:"):
+                CqChannel(good[:k] + [bad] + good[k:])
+
+    @pytest.mark.parametrize("kinds, calls", [
+        ("pure", []), ("mixed", [(3, 5, 5)]), ("both", [(3, 5, 5)]),
+    ])
+    def test_only_states_that_are_not_rank_one_take_eigenvalues(self, monkeypatch, kinds, calls):
+        rng = np.random.default_rng(79)
+        kets = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        pure = [np.outer(v, v.conj()) for v in kets]
+        mixed = [random_density_matrix(rng, 5).matrix for _ in range(3)]
+        states = {"pure": pure, "mixed": mixed, "both": [s for pair in zip(pure, mixed)
+                                                          for s in pair]}[kinds]
+        shapes = count_eigvalsh_calls(monkeypatch)
+        ch = CqChannel(states)
+        monkeypatch.undo()
+        assert shapes == calls
+        for raw, rho in zip(states, ch.states):
+            single = validate_density(raw)
+            assert np.array_equal(rho.matrix, single.matrix)
+            assert np.array_equal(rho.eigenvalues, single.eigenvalues)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):

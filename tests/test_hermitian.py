@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cqcap import validate_density
+from cqcap.hermitian import EIGENVALUE_REL
 from cqcap.reference import (
     log_on_support,
     quantum_relative_entropy,
@@ -15,6 +16,8 @@ from cqcap.errors import BadTrace, DimensionMismatch, NotHermitian, NotPSD
 from helpers import (
     BIASED_QUBIT_ENTROPY,
     binary_entropy_bits,
+    coherent_ket,
+    count_eigvalsh_calls,
     random_density_matrix,
     random_unitary,
 )
@@ -78,6 +81,91 @@ class TestValidateDensity:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert a == a and a != b
         assert len({a, b, a}) == 2
+
+
+def _eigenvalue_rule(raw):
+    """The eigenvalue rule on one state, spelled out: matrix, spectrum and whether it repaired."""
+    herm = 0.5 * (raw + raw.conj().T)
+    trace = np.trace(herm).real
+    w = np.linalg.eigvalsh(herm)[::-1]
+    cutoff = EIGENVALUE_REL * max(w[0], np.finfo(float).tiny)
+    assert w[-1] >= -cutoff
+    clamped = np.where(w <= cutoff, 0.0, w)
+    repair = bool((clamped != w).any()) or abs(clamped.sum() - 1.0) > 1e-13
+    if repair:
+        clamped /= clamped.sum()
+        herm /= trace
+    return herm, clamped, repair
+
+
+def _pure_kets(rng):
+    """Random complex, real and sparse kets, m = 2..40, then truncated coherent states."""
+    for m in range(2, 41):
+        ket = rng.normal(size=m) + 1j * rng.normal(size=m)
+        yield ket
+        yield ket.real.astype(complex)
+        yield np.where(rng.random(m) < 0.5, 0.0, ket) if m > 2 else ket
+    for _ in range(120):
+        yield coherent_ket(rng.uniform(0.5, 3.0) * np.exp(1j * rng.uniform(0.0, 2 * math.pi)))
+
+
+class TestRankOnePath:
+    """A state within a tenth of the cutoff of rank one skips the eigenvalues."""
+
+    def test_pure_states_match_the_eigenvalue_rule(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        calls = count_eigvalsh_calls(monkeypatch)
+        repaired = 0
+        for ket in _pure_kets(rng):
+            if not ket.any():
+                continue
+            ket = ket / np.linalg.norm(ket)
+            raw = np.outer(ket, ket.conj())
+            before = len(calls)
+            rho = validate_density(raw)
+            assert len(calls) == before
+            matrix, spectrum, repair = _eigenvalue_rule(raw)
+            assert rho.eigenvalues[0] == 1.0 and not rho.eigenvalues[1:].any()
+            assert rho.entropy_nats == 0.0 and rho.rank == 1
+            if repair:
+                repaired += 1
+                assert np.array_equal(rho.matrix, matrix)
+                assert np.array_equal(rho.eigenvalues, spectrum)
+            else:
+                # eigvalsh returned exact zeros and a top eigenvalue a few ulps from 1
+                assert np.abs(rho.matrix - matrix).max() <= 1e-15
+                assert np.abs(rho.eigenvalues - spectrum).max() <= 1e-15
+        assert repaired > 200
+
+    @pytest.mark.parametrize("residual, rank_one", [(5e-14, True), (1e-11, False)])
+    def test_residual_bound(self, monkeypatch, residual, rank_one):
+        # diag(1 - r, r) in a shuffled basis: the residual of rho - v v^H is r
+        rng = np.random.default_rng(89)
+        m = 6
+        basis = np.eye(m)[rng.permutation(m)] * np.exp(1j * rng.uniform(0, 2 * math.pi, m))
+        raw = basis @ np.diag([1.0 - residual, residual, 0, 0, 0, 0]) @ basis.conj().T
+        calls = count_eigvalsh_calls(monkeypatch)
+        rho = validate_density(raw)
+        assert len(calls) == (0 if rank_one else 1)
+        assert rho.rank == (1 if rank_one else 2)
+        if rank_one:
+            assert np.array_equal(rho.eigenvalues, np.eye(m)[0])
+
+    def test_negativity_beside_a_pure_state_is_still_rejected(self):
+        # Tr rho^2 passes the purity screen at m = 32; the residual does not
+        rng = np.random.default_rng(97)
+        u = random_unitary(rng, 32)
+        v, w = u[:, 0], u[:, 1]
+        raw = np.outer(v, v.conj()) - 2e-12 * np.outer(w, w.conj())
+        with pytest.raises(NotPSD, match="below"):
+            validate_density(raw)
+
+    @pytest.mark.parametrize("entry", [1e200, 1e160j])
+    def test_entries_whose_squares_overflow_fail_the_screen_quietly(self, entry):
+        # warnings are errors here: the purity overflows to inf without one
+        raw = np.array([[0.5, entry], [np.conj(entry), 0.5]])
+        with pytest.raises(NotPSD, match="below"):
+            validate_density(raw)
 
 
 class TestEntropy:
