@@ -157,7 +157,9 @@ class CqChannel:
         if not keep.all():
             iso = v[:, keep]
             support = iso.conj().T @ stack @ iso
-            support = 0.5 * (support + support.conj().swapaxes(1, 2))
+            # symmetrized in place: conj() is a copy, so nothing aliases
+            support += support.conj().swapaxes(1, 2)
+            support *= 0.5
             support.setflags(write=False)
             self._support_stack = support
             self._outside_mass = float(np.maximum(w[~keep], 0.0).sum())

@@ -38,7 +38,8 @@ class GridSpec:
     penalty_multiplier: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.resolution, (int, np.integer)):
+        # bool subclasses int
+        if isinstance(self.resolution, bool) or not isinstance(self.resolution, (int, np.integer)):
             raise BadParams(f"grid resolution must be an integer, got {self.resolution!r}")
         if self.resolution < 2:
             raise BadParams(f"grid resolution must be at least 2, got {self.resolution!r}")

@@ -222,8 +222,9 @@ class SolverConfig:
             raise BadParams(f"a budgeted run takes no fixed multiplier, got {self.multiplier!r}")
         if not self.epsilon > 0:
             raise BadParams(f"epsilon must be positive, got {self.epsilon!r}")
-        # the cap counts steps: a nan one, say, would never be reached
-        if not isinstance(self.max_iter, (int, np.integer)):
+        # the cap counts steps: a nan one, say, would never be reached, and
+        # bool subclasses int
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise BadParams(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise BadParams(f"max_iter must be at least 1, got {self.max_iter!r}")

@@ -236,6 +236,35 @@ class TestStackValidation:
             with pytest.raises(error, match=f"state {k}:"):
                 CqChannel(good[:k] + [bad] + good[k:])
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 2)], ids=["diagonal", "off-diagonal"])
+    def test_a_non_finite_state_is_named_before_a_non_hermitian_one(self, entry, where):
+        # finiteness is checked first, over the whole stack, so the state
+        # with the non-finite entry is named though an earlier one fails the
+        # Hermitian check and a later one the trace
+        rng = np.random.default_rng(107)
+        ket = rng.normal(size=3) + 1j * rng.normal(size=3)
+        ket /= np.linalg.norm(ket)
+        pure = np.outer(ket, ket.conj())
+        broken = pure.copy()
+        broken[where] = entry
+        states = [pure, random_density_matrix(rng, 3).matrix,
+                  np.array([[0.5, 0.3, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]),
+                  np.eye(3) / 3, broken, np.diag([0.6, 0.5, 0.0]), pure]
+        with pytest.raises(ValueError, match="state 4: matrix entries must be finite"):
+            CqChannel(states)
+
+    def test_the_input_arrays_are_left_unchanged(self):
+        # pure states that are repaired and mixed ones that are clamped, as a
+        # list of arrays and as one stacked array
+        rng = np.random.default_rng(109)
+        clamped = np.diag([1.0 + 1e-15, -1e-15, 0.0, 0.0, 0.0]).astype(complex)
+        states = _kinds_of_states(rng, 5) + [clamped]
+        for given in (states, np.array(states)):
+            kept = [s.tobytes() for s in given]
+            CqChannel(given)
+            assert [s.tobytes() for s in given] == kept
+
     @pytest.mark.parametrize("kinds, calls", [
         ("pure", []), ("mixed", [(3, 5, 5)]), ("both", [(3, 5, 5)]),
     ])

@@ -167,6 +167,64 @@ class TestRankOnePath:
         with pytest.raises(NotPSD, match="below"):
             validate_density(raw)
 
+    @pytest.mark.parametrize("size, calls", [(1e-15, 0), (1e-12, 1)])
+    def test_an_anti_hermitian_part_is_tried_on_the_raw_input(self, monkeypatch, size, calls):
+        # the residual is taken before symmetrizing, so it sees the
+        # anti-Hermitian part: 1e-15 stays inside the bound, 1e-12 does not
+        raw = _pure_plus_anti_hermitian(size)
+        shapes = count_eigvalsh_calls(monkeypatch)
+        rho = validate_density(raw)
+        monkeypatch.undo()
+        assert len(shapes) == calls
+        assert rho.rank == 1 and rho.eigenvalues[0] == 1.0
+        symmetrized = 0.5 * (raw + raw.conj().T)
+        assert np.abs(rho.matrix - symmetrized / np.trace(symmetrized).real).max() <= 1e-16
+
+    def test_the_rank_one_path_admits_no_asymmetry_past_tolerance(self):
+        # rank one but for an anti-Hermitian part of 1e-6, an asymmetry of
+        # 2e-6, far past HERMITIAN_TOL: the residual fails it, and the
+        # asymmetry check raises
+        with pytest.raises(NotHermitian, match="asymmetry 2.000e-06"):
+            validate_density(_pure_plus_anti_hermitian(1e-6))
+
+    def test_the_input_array_is_left_unchanged(self):
+        # validate_density works on a view of a complex128 input; a repaired
+        # pure state and a clamped mixed one both write only their own copy
+        rng = np.random.default_rng(101)
+        inputs = [_pure_plus_anti_hermitian(1e-15), _pure_plus_anti_hermitian(1e-12),
+                  np.diag([1.0 + 1e-15, -1e-15]).astype(complex),
+                  random_density_matrix(rng, 5).matrix.copy()]
+        for raw in inputs:
+            kept = raw.copy()
+            validate_density(raw)
+            assert raw.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("entry", [1e308, 1.5e308 + 1.5e308j])
+    def test_an_asymmetry_that_overflows_is_not_hermitian(self, entry):
+        # the entries are finite, but their difference with the adjoint is
+        # not; warnings are errors here, so none escapes
+        raw = np.array([[0.5, entry], [-entry, 0.5]])
+        with pytest.raises(NotHermitian, match="asymmetry inf"):
+            validate_density(raw)
+
+    @pytest.mark.parametrize("entry", [1.2e308, 1e308 + 1e308j])
+    def test_hermitian_entries_too_large_to_symmetrize_are_not_psd(self, entry):
+        # a + a^H overflows, its eigenvalues come back nan, and nan fails
+        # the PSD check rather than passing it
+        raw = np.array([[0.5, entry], [np.conj(entry), 0.5]])
+        with pytest.raises(NotPSD, match="eigenvalue nan"):
+            validate_density(raw)
+
+
+def _pure_plus_anti_hermitian(size: float, m: int = 8) -> np.ndarray:
+    """A random pure state plus an anti-Hermitian part whose largest entry is ``size``."""
+    rng = np.random.default_rng(103)
+    ket = rng.normal(size=m) + 1j * rng.normal(size=m)
+    ket /= np.linalg.norm(ket)
+    b = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    anti = b - b.conj().T
+    return np.outer(ket, ket.conj()) + size / np.abs(anti).max() * anti
+
 
 class TestEntropy:
     def test_maximally_mixed_is_one_bit(self):

@@ -137,7 +137,7 @@ class TestGridSpec:
             GridSpec(resolution)
         assert isinstance(raised.value, ValueError)
 
-    @pytest.mark.parametrize("resolution", [2.5, math.nan])
+    @pytest.mark.parametrize("resolution", [2.5, math.nan, True, False])
     def test_a_resolution_that_is_not_an_integer_is_bad_params(self, resolution):
         # grid_capacity would otherwise fail inside math.comb with a TypeError
         with pytest.raises(BadParams, match=f"must be an integer, got {resolution}"):

@@ -914,8 +914,11 @@ class TestSolverConfig:
         ({"multiplier": -1.0}, "multiplier must be finite and nonnegative, got -1.0"),
         ({"multiplier": 1.0, "cost_limit": 0.5},
          "a budgeted run takes no fixed multiplier, got 1.0"),
+        ({"max_iter": True}, "max_iter must be an integer, got True"),
+        ({"max_iter": False}, "max_iter must be an integer, got False"),
     ], ids=["eps-zero", "eps-negative", "eps-nan", "max-iter-zero", "max-iter-nan",
-            "max-iter-fraction", "budget-nan", "multiplier-negative", "multiplier-with-budget"])
+            "max-iter-fraction", "budget-nan", "multiplier-negative", "multiplier-with-budget",
+            "max-iter-true", "max-iter-false"])
     def test_a_bad_parameter_is_bad_params_naming_its_value(self, fields, message):
         with pytest.raises(BadParams, match=re.escape(message)) as raised:
             SolverConfig(**fields)

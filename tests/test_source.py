@@ -256,7 +256,8 @@ def _called(node):
 
 def test_validation_has_three_tolerances_and_one_eigenvalue_call():
     # the rank-one test's bound derives from EIGENVALUE_REL rather than adding
-    # a knob, and the states that fail it share one batched eigvalsh
+    # a knob, and the states that fail it share one batched eigvalsh; the
+    # test itself runs once, on the whole stack, so one rule covers every state
     tree = _module(SOURCE_DIR / "hermitian.py")
     assigned = [target for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
                 for target in getattr(node, "targets", [getattr(node, "target", None)])]
@@ -265,12 +266,13 @@ def test_validation_has_three_tolerances_and_one_eigenvalue_call():
     assert tolerances == {"HERMITIAN_TOL", "TRACE_TOL", "EIGENVALUE_REL"}
     validate = next(node for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name == "_validate_stack")
-    assert len([node for node in ast.walk(validate) if _called(node) == "eigvalsh"]) == 1
-    looped = [node.lineno for loop in ast.walk(validate)
-              if isinstance(loop, (ast.For, ast.While, ast.ListComp, ast.SetComp,
-                                   ast.DictComp, ast.GeneratorExp))
-              for node in ast.walk(loop) if _called(node) == "eigvalsh"]
-    assert looped == []
+    for name in ("eigvalsh", "_rank_one"):
+        assert len([node for node in ast.walk(validate) if _called(node) == name]) == 1
+        looped = [node.lineno for loop in ast.walk(validate)
+                  if isinstance(loop, (ast.For, ast.While, ast.ListComp, ast.SetComp,
+                                       ast.DictComp, ast.GeneratorExp))
+                  for node in ast.walk(loop) if _called(node) == name]
+        assert looped == []
 
 
 def test_solver_leaves_the_support_layout_to_the_channel():
